@@ -4,7 +4,7 @@
 //
 // Determinism contract: wall time may feed telemetry, logs, progress
 // meters and scheduling heuristics — never bytes whose exact value a
-// campaign artifact pins (fronts, indicator CSVs, manifests, journals).
+// campaign artifact pins (fronts, indicator CSVs, journals).
 // Funnelling every clock read through this module makes the contract
 // auditable: `aedb-lint` (tools/lint) bans std::chrono clock types in
 // every other src/ translation unit, so a wall-clock read feeding a

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace aedbmls::io {
@@ -119,6 +121,15 @@ void atomic_write_file_or_throw(const std::string& path,
     throw std::runtime_error("cannot write " + path + ": " +
                              std::strerror(errno));
   }
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  if (!in) return std::nullopt;
+  return std::move(bytes).str();
 }
 
 }  // namespace aedbmls::io

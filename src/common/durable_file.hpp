@@ -3,7 +3,7 @@
 // Hardened small-file persistence: CRC32 trailers + atomic replacement.
 //
 // Every durable artifact in this codebase (indicator-CSV cache, shard
-// manifests, the crash-resume journal header) is a line-oriented ASCII
+// journals, the crash-resume journal header) is a line-oriented ASCII
 // file small enough to build in memory.  Two failure modes matter:
 //
 //  * torn writes — a crash mid-write leaves a prefix of the new file (or,
@@ -19,6 +19,7 @@
 // keep loading; callers choose whether missing is acceptable.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -57,5 +58,8 @@ CrcCheck strip_crc_trailer(std::string& payload);
 /// As above, but throws std::runtime_error naming the path on failure.
 void atomic_write_file_or_throw(const std::string& path,
                                 std::string_view bytes);
+
+/// The whole file at `path`, or nullopt when it cannot be opened or read.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 }  // namespace aedbmls::io

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/line_codec.hpp"
 #include "common/rng.hpp"
 
 namespace aedbmls::fault {
@@ -80,30 +81,16 @@ std::string_view trim(std::string_view text) {
 
 std::uint64_t parse_u64(std::string_view text, const std::string& entry,
                         const std::string& what) {
-  const std::string token(text);
-  std::size_t used = 0;
-  std::uint64_t result = 0;
-  try {
-    result = std::stoull(token, &used, 10);
-  } catch (const std::exception&) {
-    bad_spec(entry, what);
-  }
-  if (used != token.size()) bad_spec(entry, what);
-  return result;
+  const auto value = codec::parse_u64(text);
+  if (!value) bad_spec(entry, what);
+  return *value;
 }
 
 double parse_number(std::string_view text, const std::string& entry,
                     const std::string& what) {
-  const std::string token(text);
-  std::size_t used = 0;
-  double result = 0.0;
-  try {
-    result = std::stod(token, &used);
-  } catch (const std::exception&) {
-    bad_spec(entry, what);
-  }
-  if (used != token.size() || !std::isfinite(result)) bad_spec(entry, what);
-  return result;
+  const auto value = codec::parse_double(text);
+  if (!value || !std::isfinite(*value)) bad_spec(entry, what);
+  return *value;
 }
 
 void parse_trigger(std::string_view text, const std::string& entry,

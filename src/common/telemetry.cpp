@@ -1,10 +1,10 @@
 #include "common/telemetry.hpp"
 
 #include <bit>
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
+
+#include "common/line_codec.hpp"
 
 namespace aedbmls::telemetry {
 
@@ -69,47 +69,27 @@ void Registry::reset() noexcept {
 
 namespace {
 
-/// `%.17g` round-trips IEEE-754 binary64 exactly (same contract as the
-/// manifest codec, which these lines ride inside).
-void append_double(std::string& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
+[[noreturn]] void fail(std::string_view line, const std::string& what) {
+  throw std::invalid_argument("telemetry line '" + std::string(line) +
+                              "': " + what);
 }
 
-[[noreturn]] void fail(const std::string& line, const std::string& what) {
-  throw std::invalid_argument("telemetry line '" + line + "': " + what);
-}
-
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) tokens.push_back(std::move(token));
-  return tokens;
-}
-
-std::uint64_t to_u64(const std::string& token, const std::string& line,
+std::uint64_t to_u64(std::string_view token, std::string_view line,
                      const char* what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::exception&) {
-    fail(line, std::string("bad ") + what + " '" + token + "'");
+  const auto value = codec::parse_u64(token);
+  if (!value) {
+    fail(line, std::string("bad ") + what + " '" + std::string(token) + "'");
   }
+  return *value;
 }
 
-double to_double(const std::string& token, const std::string& line,
+double to_double(std::string_view token, std::string_view line,
                  const char* what) {
-  if (token.empty()) fail(line, std::string("empty ") + what);
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) {
-    fail(line, std::string("bad ") + what + " '" + token + "'");
+  const auto value = codec::parse_double(token);
+  if (!value) {
+    fail(line, std::string("bad ") + what + " '" + std::string(token) + "'");
   }
-  return value;
+  return *value;
 }
 
 }  // namespace
@@ -126,11 +106,11 @@ std::vector<std::string> encode_snapshot(const Snapshot& snapshot) {
   for (const auto& [name, stat] : snapshot.gauges) {
     std::string line = "tgauge " + name + ' ' + std::to_string(stat.count);
     line += ' ';
-    append_double(line, stat.sum);
+    codec::append_double(line, stat.sum);
     line += ' ';
-    append_double(line, stat.min);
+    codec::append_double(line, stat.min);
     line += ' ';
-    append_double(line, stat.max);
+    codec::append_double(line, stat.max);
     lines.push_back(std::move(line));
   }
   for (const auto& [name, stat] : snapshot.histograms) {
@@ -155,12 +135,13 @@ bool is_telemetry_line(const std::string& line) {
          line.rfind("thist ", 0) == 0;
 }
 
-void decode_snapshot_line(const std::string& line, Snapshot& snapshot) {
-  const auto tokens = tokens_of(line);
+void decode_snapshot_line(std::string_view line, Snapshot& snapshot) {
+  const auto tokens = codec::tokens(line);
   if (tokens.empty()) fail(line, "empty line");
   if (tokens[0] == "tcounter") {
     if (tokens.size() != 3) fail(line, "expected 'tcounter <name> <value>'");
-    snapshot.counters[tokens[1]] += to_u64(tokens[2], line, "counter value");
+    snapshot.counters[std::string(tokens[1])] +=
+        to_u64(tokens[2], line, "counter value");
     return;
   }
   if (tokens[0] == "tgauge") {
@@ -172,7 +153,7 @@ void decode_snapshot_line(const std::string& line, Snapshot& snapshot) {
     stat.sum = to_double(tokens[3], line, "gauge sum");
     stat.min = to_double(tokens[4], line, "gauge min");
     stat.max = to_double(tokens[5], line, "gauge max");
-    snapshot.gauges[tokens[1]].merge(stat);
+    snapshot.gauges[std::string(tokens[1])].merge(stat);
     return;
   }
   if (tokens[0] == "thist") {
@@ -185,11 +166,11 @@ void decode_snapshot_line(const std::string& line, Snapshot& snapshot) {
     if (tokens.size() != 4 + pairs) fail(line, "histogram pair count mismatch");
     std::uint64_t bucket_total = 0;
     for (std::uint64_t p = 0; p < pairs; ++p) {
-      const std::string& pair = tokens[4 + p];
+      const std::string_view pair = tokens[4 + p];
       const std::size_t colon = pair.find(':');
       if (colon == std::string::npos || colon == 0 ||
           colon + 1 >= pair.size()) {
-        fail(line, "bad histogram pair '" + pair + "'");
+        fail(line, "bad histogram pair '" + std::string(pair) + "'");
       }
       const std::uint64_t bucket =
           to_u64(pair.substr(0, colon), line, "histogram bucket");
@@ -204,10 +185,10 @@ void decode_snapshot_line(const std::string& line, Snapshot& snapshot) {
     if (bucket_total != stat.count) {
       fail(line, "histogram count does not match its buckets");
     }
-    snapshot.histograms[tokens[1]].merge(stat);
+    snapshot.histograms[std::string(tokens[1])].merge(stat);
     return;
   }
-  fail(line, "unknown telemetry keyword '" + tokens[0] + "'");
+  fail(line, "unknown telemetry keyword '" + std::string(tokens[0]) + "'");
 }
 
 ProgressMeter::ProgressMeter(std::size_t total_cells, std::size_t every,

@@ -21,9 +21,10 @@
 /// differently; every aggregation path in this codebase merges in grid
 /// (cell-index) order, which makes even those byte-stable.
 ///
-/// Snapshots serialise to the line-oriented ASCII format of the shard
-/// manifests (`%.17g` doubles round-trip binary64 exactly); see
-/// `encode_snapshot` / `decode_snapshot_line`.
+/// Snapshots serialise through the line codec (`common/line_codec.hpp`;
+/// `%.17g` doubles round-trip binary64 exactly) and ride inside the cell
+/// blocks of campaign journals; see `encode_snapshot` /
+/// `decode_snapshot_line`.
 ///
 /// `ProgressMeter` is the live view: a thread-safe fold of per-cell
 /// snapshots that periodically prints cells-done/total, evaluation
@@ -37,6 +38,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -144,7 +146,7 @@ class Registry {
 ///   thist <name> <count> <pairs> <bucket>:<count> ...
 ///
 /// Names must be whitespace-free (they are in this codebase; enforced by
-/// the manifest codec's `checked_name`).  Doubles print as `%.17g`.
+/// the cell-block codec's `checked_name` in expt/journal.cpp).  Doubles print as `%.17g`.
 [[nodiscard]] std::vector<std::string> encode_snapshot(
     const Snapshot& snapshot);
 
@@ -153,7 +155,7 @@ class Registry {
 
 /// Decodes one `encode_snapshot` line into `snapshot` (merging on name
 /// collision).  Throws std::invalid_argument on anything malformed.
-void decode_snapshot_line(const std::string& line, Snapshot& snapshot);
+void decode_snapshot_line(std::string_view line, Snapshot& snapshot);
 
 /// Thread-safe fold of per-cell snapshots with periodic printing: every
 /// `every` completed cells (and on the final one) a single line with

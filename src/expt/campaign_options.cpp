@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
 
 #include "common/durable_file.hpp"
+#include "common/line_codec.hpp"
 #include "expt/campaign_service.hpp"
 #include "expt/scenario_catalog.hpp"
 #include "moo/core/front_io.hpp"
@@ -21,64 +22,34 @@ namespace {
 
 /// `--shard=i/N` with 0-based i in [0, N).
 void parse_shard_spec(const std::string& spec, CampaignOptions& out) {
-  const auto bad = [&spec]() {
+  const std::size_t slash = spec.find('/');
+  // Digits only: a typo like 0/-3 must fail, never wrap to 2^64-ish.
+  const auto index = codec::parse_u64(std::string_view(spec).substr(0, slash));
+  const auto count = slash == std::string::npos
+                         ? std::nullopt
+                         : codec::parse_u64(
+                               std::string_view(spec).substr(slash + 1));
+  if (!index || !count || *count == 0 || *index >= *count) {
     fail("bad --shard spec '" + spec +
          "'; expected i/N with 0 <= i < N (e.g. --shard=0/3)");
-  };
-  const std::size_t slash = spec.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= spec.size()) {
-    bad();
   }
-  // Digits only: stoull would accept (and wrap) a leading '-', turning a
-  // typo like 0/-3 into a 2^64-ish shard count instead of an error.
-  for (const char c : spec) {
-    if (c != '/' && (c < '0' || c > '9')) bad();
-  }
-  std::size_t index = 0;
-  std::size_t count = 0;
-  try {
-    std::size_t pos = 0;
-    index = std::stoull(spec.substr(0, slash), &pos);
-    if (pos != slash) bad();
-    count = std::stoull(spec.substr(slash + 1), &pos);
-    if (pos != spec.size() - slash - 1) bad();
-  } catch (const std::invalid_argument&) {
-    bad();
-  } catch (const std::out_of_range&) {
-    bad();
-  }
-  if (count == 0 || index >= count) bad();
-  out.shard_index = index;
-  out.shard_count = count;
+  out.shard_index = *index;
+  out.shard_count = *count;
 }
 
 /// `--connect=HOST:PORT` with a non-empty host and a port in [1, 65535].
 void parse_host_port(const std::string& spec, CampaignOptions& out) {
-  const auto bad = [&spec]() {
+  const std::size_t colon = spec.rfind(':');
+  const auto port = colon == std::string::npos
+                        ? std::nullopt
+                        : codec::parse_u64(
+                              std::string_view(spec).substr(colon + 1));
+  if (colon == 0 || !port || *port == 0 || *port > 65535) {
     fail("bad --connect spec '" + spec +
          "'; expected HOST:PORT (e.g. --connect=127.0.0.1:7000)");
-  };
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    bad();
   }
-  const std::string port_token = spec.substr(colon + 1);
-  for (const char c : port_token) {
-    if (c < '0' || c > '9') bad();
-  }
-  unsigned long port = 0;
-  try {
-    std::size_t pos = 0;
-    port = std::stoul(port_token, &pos);
-    if (pos != port_token.size()) bad();
-  } catch (const std::invalid_argument&) {
-    bad();
-  } catch (const std::out_of_range&) {
-    bad();
-  }
-  if (port == 0 || port > 65535) bad();
   out.connect_host = spec.substr(0, colon);
-  out.connect_port = static_cast<std::uint16_t>(port);
+  out.connect_port = static_cast<std::uint16_t>(*port);
 }
 
 /// One distribution mode: its flag spelling, the mode it selects and the
@@ -92,12 +63,6 @@ struct ModeRow {
 };
 
 constexpr ModeRow kModes[] = {
-    {"ranks", CampaignMode::kRanks,
-     [](const CliArgs& args, CampaignOptions& out) {
-       const long ranks = args.get_int("ranks", 0);
-       if (ranks < 1) fail("--ranks needs a positive rank count");
-       out.ranks = static_cast<std::size_t>(ranks);
-     }},
     {"shard", CampaignMode::kShard,
      [](const CliArgs& args, CampaignOptions& out) {
        parse_shard_spec(args.get("shard"), out);
@@ -186,6 +151,12 @@ bool canonical_less(const moo::Solution& a, const moo::Solution& b) {
 
 CampaignOptions parse_campaign_options(const CliArgs& args) {
   CampaignOptions out;
+  // The in-process rank mode is gone; without this check CliArgs would
+  // silently ignore the flag and run a plain local campaign.
+  if (args.has("ranks")) {
+    fail("--ranks was removed; use --workers=N for N in-process driver "
+         "workers (or --serve/--connect, --shard/--merge to distribute)");
+  }
   // Distribution modes are mutually exclusive; name the exact clashing
   // pair so the fix is obvious from the message alone.
   const char* first = nullptr;
@@ -193,8 +164,8 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
     if (!args.has(row.flag)) continue;
     if (first != nullptr) {
       fail(std::string("--") + first + " conflicts with --" + row.flag +
-           "; pick one distribution mode (--ranks | --shard | --merge | "
-           "--serve | --connect)");
+           "; pick one distribution mode (--shard | --merge | --serve | "
+           "--connect)");
     }
     first = row.flag;
     out.mode = row.mode;
@@ -214,29 +185,23 @@ CampaignOptions parse_campaign_options(const CliArgs& args) {
 }
 
 std::map<std::string, double> load_cost_priors(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot read --cost-priors file " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string payload = buffer.str();
+  auto payload = io::read_file(path);
+  if (!payload) fail("cannot read --cost-priors file " + path);
   // `--telemetry-out` dumps carry a #crc32 trailer; a mismatch means the
   // file was truncated or bit-flipped since it was written.  Trailer-less
   // files (hand-written priors, pre-trailer dumps) still load.
-  if (io::strip_crc_trailer(payload) == io::CrcCheck::kMismatch) {
+  if (io::strip_crc_trailer(*payload) == io::CrcCheck::kMismatch) {
     fail("--cost-priors file " + path +
          " failed its #crc32 check (truncated or corrupt dump)");
   }
   telemetry::Snapshot snapshot;
-  std::istringstream lines(payload);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    if (line.empty()) continue;
+  codec::LineReader lines(*payload);
+  while (lines.next()) {
+    if (lines.line().empty()) continue;
     try {
-      telemetry::decode_snapshot_line(line, snapshot);
+      telemetry::decode_snapshot_line(lines.line(), snapshot);
     } catch (const std::invalid_argument& error) {
-      fail(path + " line " + std::to_string(line_number) + ": " +
+      fail(path + " line " + std::to_string(lines.line_number()) + ": " +
            error.what());
     }
   }

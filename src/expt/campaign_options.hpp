@@ -3,7 +3,7 @@
 /// CampaignOptions — the unified campaign CLI surface.
 ///
 /// Every campaign bench accepts the same distribution / observability
-/// flags (`--ranks`, `--shard`, `--merge`, `--serve`, `--connect`,
+/// flags (`--shard`, `--merge`, `--serve`, `--connect`,
 /// `--progress`, `--telemetry-out`, `--front-out`, `--cost-priors`,
 /// `--fault-plan`, `--cache-dir`).  This header owns their parsing and
 /// validation as one table-driven pass: each flag has a single descriptor
@@ -30,9 +30,8 @@ namespace aedbmls::expt {
 /// non-`kLocal` modes may be selected per invocation.
 enum class CampaignMode {
   kLocal,    ///< plain in-process run (no distribution flag)
-  kRanks,    ///< --ranks=N: in-process DistributedDriver over N ranks
-  kShard,    ///< --shard=i/N: run one shard, write a manifest, exit
-  kMerge,    ///< --merge=DIR: reassemble shard manifests, no execution
+  kShard,    ///< --shard=i/N: run one shard, write its journal, exit
+  kMerge,    ///< --merge=DIR: reassemble shard journals, no execution
   kServe,    ///< --serve=PORT: elastic coordinator over TCP workers
   kConnect,  ///< --connect=HOST:PORT: elastic worker
 };
@@ -41,8 +40,6 @@ enum class CampaignMode {
 struct CampaignOptions {
   CampaignMode mode = CampaignMode::kLocal;
 
-  // --ranks
-  std::size_t ranks = 0;
   // --shard=i/N + --shard-dir
   std::size_t shard_index = 0;
   std::size_t shard_count = 0;
@@ -79,8 +76,9 @@ struct CampaignOptions {
 /// Parses + validates the campaign flags in one pass.  Throws
 /// `std::invalid_argument` on any malformed operand, conflicting
 /// distribution modes (the message names the clashing pair) or an
-/// unreadable/invalid --cost-priors file.  Flags outside the campaign
-/// surface are ignored (benches layer their own options on top).
+/// unreadable/invalid --cost-priors file, and rejects the removed
+/// `--ranks` flag.  Flags outside the campaign surface are ignored
+/// (benches layer their own options on top).
 [[nodiscard]] CampaignOptions parse_campaign_options(const CliArgs& args);
 
 /// Loads scheduling priors from a `--telemetry-out` dump: verifies (and

@@ -1,12 +1,10 @@
 #include "expt/campaign_service.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -16,127 +14,22 @@
 
 #include "common/durable_file.hpp"
 #include "common/fault.hpp"
+#include "common/line_codec.hpp"
 #include "common/logging.hpp"
-#include "expt/manifest.hpp"
 
 namespace aedbmls::expt {
 namespace {
 
-// v2: every cell block is followed by a `crc <8 hex>` line; v1 journals
-// (no per-record checksums) read as stale and replay nothing.
-constexpr const char* kJournalMagic = "aedbmls-campaign-journal v2";
-constexpr const char* kJournalCrcPrefix = "crc ";
-
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llx",
-                static_cast<unsigned long long>(fingerprint));
-  return buffer;
-}
-
-std::size_t parse_index(const std::string& token, const char* what) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long value = std::stoull(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::size_t>(value);
-  } catch (const std::exception&) {
+std::size_t parse_index(std::string_view token, const char* what) {
+  const auto value = codec::parse_u64(token);
+  if (!value) {
     throw std::runtime_error(std::string("elastic: bad ") + what + " '" +
-                             token + "'");
+                             std::string(token) + "'");
   }
-}
-
-std::string read_file_or_empty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  if (!in) return {};
-  return bytes.str();
-}
-
-/// True when `record` matches the plan's cell table entry — the same
-/// metadata check `merge_manifests` applies to shard files.
-bool matches_cell(const RunRecord& record, const ExperimentPlan::Cell& cell) {
-  return record.algorithm == cell.algorithm &&
-         record.scenario == cell.scenario && record.run_seed == cell.seed;
-}
-
-std::string journal_header(const std::string& fp_hex, std::size_t cell_count) {
-  return std::string(kJournalMagic) + " " + fp_hex + " " +
-         std::to_string(cell_count);
-}
-
-/// One committed journal record: the cell block plus its CRC line.  A
-/// record is only replayed once the CRC line verifies, so a crash at any
-/// byte offset leaves a cleanly detectable torn tail.
-std::string journal_record(const CellResult& result) {
-  const std::string block = encode_cell_result(result);
-  return block + kJournalCrcPrefix + io::crc32_hex(block) + "\n";
-}
-
-/// Replays a crash-resume journal.  Tolerant by design: a missing file, an
-/// empty file, a stale/wrong-fingerprint header, a bit-flipped record or a
-/// torn tail (the coordinator died mid-append) all yield the valid prefix
-/// of CRC-verified records, never an error — the lost cells simply run
-/// again.
-std::vector<CellResult> load_journal(
-    const std::string& path, const std::string& fp_hex,
-    const std::vector<ExperimentPlan::Cell>& cells) {
-  const std::string text = read_file_or_empty(path);
-  if (text.empty()) return {};
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line)) return {};
-  if (line != journal_header(fp_hex, cells.size())) {
-    log_warn("elastic: ignoring stale journal ", path, " (header '", line,
-             "')");
-    return {};
-  }
-  // Records accumulate until their `crc` line; a record is committed only
-  // when the checksum verifies and the decoded cell matches the plan.
-  std::vector<CellResult> replayed;
-  std::vector<bool> seen(cells.size(), false);
-  std::string block;
-  bool intact = true;
-  while (intact && std::getline(in, line)) {
-    if (line.rfind(kJournalCrcPrefix, 0) != 0) {
-      block += line;
-      block += '\n';
-      continue;
-    }
-    if (line.substr(4) != io::crc32_hex(block)) {
-      intact = false;
-      break;
-    }
-    try {
-      CellResult result = decode_cell_result(block, cells.size());
-      if (seen[result.index] ||
-          !matches_cell(result.record, cells[result.index])) {
-        intact = false;
-        break;
-      }
-      seen[result.index] = true;
-      replayed.push_back(std::move(result));
-      block.clear();
-    } catch (const std::invalid_argument&) {
-      intact = false;
-    }
-  }
-  if (!intact || !block.empty()) {
-    log_warn("elastic: journal ", path,
-             " has a torn or corrupt tail; replaying the valid prefix (",
-             replayed.size(), " cells)");
-  }
-  return replayed;
+  return *value;
 }
 
 }  // namespace
-
-std::vector<CellResult> load_campaign_journal(const std::string& path,
-                                              const ExperimentPlan& plan) {
-  return load_journal(path, fingerprint_hex(plan.fingerprint()), plan.cells());
-}
 
 std::map<std::string, double> cost_priors_from_snapshot(
     const telemetry::Snapshot& snapshot) {
@@ -158,14 +51,6 @@ std::map<std::string, double> cost_priors_from_snapshot(
   return priors;
 }
 
-std::string campaign_journal_path(const std::string& dir,
-                                  const ExperimentPlan& plan) {
-  std::ostringstream path;
-  path << dir << "/campaign_" << plan.scale.name << "_"
-       << fingerprint_hex(plan.fingerprint()) << ".journal";
-  return path.str();
-}
-
 ExperimentResult run_campaign_coordinator(
     const ExperimentPlan& plan, par::net::Transport& transport,
     const CampaignCoordinatorOptions& options) {
@@ -174,7 +59,7 @@ ExperimentResult run_campaign_coordinator(
   }
   validate_plan(plan);
   const auto cells = plan.cells();
-  const std::string fp_hex = fingerprint_hex(plan.fingerprint());
+  const std::string fp_hex = codec::hex_u64(plan.fingerprint());
   const std::size_t expected_workers = transport.world_size() - 1;
   const ExperimentDriver::Options& driver = options.driver;
 
@@ -223,34 +108,32 @@ ExperimentResult run_campaign_coordinator(
       campaign_journal_path(driver.cache_dir, plan);
   // lint: allow(durable-io): append-mode journal is flushed per record by
   // design (crash resume needs every completed cell on disk immediately);
-  // the startup rewrite above it goes through io::atomic_write_file and
+  // the startup rewrite below goes through io::atomic_write_file and
   // each record carries its own CRC, so torn tails replay their valid
   // prefix (see load_campaign_journal).
   std::ofstream journal;
   if (journaling) {
-    std::size_t replayed = 0;
-    std::string rewrite = journal_header(fp_hex, cells.size()) + "\n";
-    for (CellResult& prior : load_journal(journal_path, fp_hex, cells)) {
-      cell_done[prior.index] = true;
-      ++done_count;
-      ++replayed;
-      observe_cost(prior.record);
-      if (driver.progress) driver.progress->cell_done(prior.record.telemetry);
-      rewrite += journal_record(prior);
-      records[prior.index] = std::move(prior.record);
-    }
+    std::vector<CellResult> replayed =
+        load_campaign_journal(journal_path, plan);
     std::error_code ec;
     std::filesystem::create_directories(driver.cache_dir, ec);
-    if (io::atomic_write_file(journal_path, rewrite)) {
+    if (io::atomic_write_file(journal_path, encode_journal(plan, replayed))) {
       journal.open(journal_path, std::ios::app | std::ios::binary);
     }
     if (!journal) {
       log_warn("elastic: cannot write journal ", journal_path,
                "; crash resume disabled for this run");
     }
-    if (replayed > 0) {
-      log_info("elastic: journal replayed ", replayed, " of ", cells.size(),
-               " cells");
+    for (CellResult& prior : replayed) {
+      cell_done[prior.index] = true;
+      ++done_count;
+      observe_cost(prior.record);
+      if (driver.progress) driver.progress->cell_done(prior.record.telemetry);
+      records[prior.index] = std::move(prior.record);
+    }
+    if (!replayed.empty()) {
+      log_info("elastic: journal replayed ", replayed.size(), " of ",
+               cells.size(), " cells");
     }
   }
 
@@ -268,7 +151,8 @@ ExperimentResult run_campaign_coordinator(
   // every worker so their local caches start warm.
   std::string warm_bytes;
   if (options.warm_worker_caches) {
-    warm_bytes = read_file_or_empty(indicator_csv_path(driver.cache_dir, plan));
+    warm_bytes =
+        io::read_file(indicator_csv_path(driver.cache_dir, plan)).value_or("");
   }
 
   // Per-worker scheduler state.  A worker is resolved once it was sent
@@ -398,14 +282,15 @@ ExperimentResult run_campaign_coordinator(
         if (newline == std::string::npos) {
           throw std::runtime_error("result message without a cell block");
         }
-        index = parse_index(payload.substr(7, newline - 7), "result index");
+        index = parse_index(std::string_view(payload).substr(7, newline - 7),
+                            "result index");
         const auto assignment = in_flight.find(worker);
         if (assignment == in_flight.end() || assignment->second != index) {
           throw std::runtime_error("returned cell " + std::to_string(index) +
                                    " it was not assigned");
         }
-        cell_result =
-            decode_cell_result(payload.substr(newline + 1), cells.size());
+        cell_result = decode_cell_result(
+            std::string_view(payload).substr(newline + 1), cells.size());
         if (cell_result.index != index ||
             !matches_cell(cell_result.record, cells[index])) {
           throw std::runtime_error("cell " + std::to_string(index) +
@@ -492,7 +377,7 @@ WorkerReport run_campaign_worker(const ExperimentPlan& plan,
   cell_options.progress = nullptr;  // the coordinator owns campaign progress
   const ExperimentDriver driver(cell_options);
 
-  if (!transport.send(0, "ready " + fingerprint_hex(plan.fingerprint()))) {
+  if (!transport.send(0, "ready " + codec::hex_u64(plan.fingerprint()))) {
     throw CoordinatorLostError(
         "elastic worker: coordinator unreachable at handshake");
   }
@@ -537,7 +422,7 @@ WorkerReport run_campaign_worker(const ExperimentPlan& plan,
     }
     if (payload.rfind("cell ", 0) == 0) {
       const std::size_t index =
-          parse_index(payload.substr(5), "cell assignment");
+          parse_index(std::string_view(payload).substr(5), "cell assignment");
       if (index >= cells.size()) {
         throw std::runtime_error("elastic worker: assigned cell " +
                                  std::to_string(index) +

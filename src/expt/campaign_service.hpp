@@ -3,9 +3,9 @@
 /// Elastic campaign service — pull-based cell scheduling over a
 /// `par::net::Transport` world.
 ///
-/// The shard/rank modes partition the grid statically: every executor must
-/// finish its slice or the campaign fails.  This service replaces the
-/// static partition with a coordinator-owned queue: rank 0 holds the
+/// Offline sharding (`--shard`/`--merge`, journal.hpp) partitions the grid
+/// statically: every shard must finish its slice or the merge fails.  This
+/// service replaces the static partition with a coordinator-owned queue: rank 0 holds the
 /// plan's cells, workers *pull* one cell at a time (`ready`/`result` each
 /// double as the next request), and a worker's death — surfaced by the
 /// transport as `kPeerLeft` — simply requeues its in-flight cell for the
@@ -25,7 +25,7 @@
 ///   coord  -> worker  reject <reason>            (fingerprint mismatch)
 ///   coord  -> worker  warm\n<indicator CSV>      (cache warm-up, optional)
 ///   coord  -> worker  cell <index>               (one assignment)
-///   worker -> coord   result <index>\n<cell block>   (manifest v2 codec)
+///   worker -> coord   result <index>\n<cell block>   (journal.hpp codec)
 ///   coord  -> worker  done                       (queue drained; part ways)
 ///
 /// Scheduling order: cells whose scenario has no cost estimate first (to
@@ -40,8 +40,8 @@
 /// restarted coordinator replays the journal and schedules only the
 /// remainder.  The journal is deleted on successful completion.
 ///
-/// Durability (journal format v2): each appended cell block is followed by
-/// a `crc <8 hex>` line checksumming it, and the startup rewrite goes
+/// Durability (journal.hpp format): each appended cell block is followed
+/// by a `crc <8 hex>` line checksumming it, and the startup rewrite goes
 /// through an atomic tmp+rename.  `load_campaign_journal` commits a block
 /// only once its CRC line verifies, so a torn tail, a bit-flipped record,
 /// a stale/wrong-fingerprint header or an empty file all degrade to
@@ -62,8 +62,8 @@
 #include <vector>
 
 #include "common/telemetry.hpp"
-#include "expt/distributed_driver.hpp"  // CellResult
 #include "expt/experiment.hpp"
+#include "expt/journal.hpp"
 #include "par/net/transport.hpp"
 
 namespace aedbmls::expt {
@@ -135,22 +135,10 @@ struct WorkerReport {
     const ExperimentPlan& plan, par::net::Transport& transport,
     const CampaignWorkerOptions& options);
 
-/// Replays the crash-resume journal at `path` for `plan`, returning the
-/// valid prefix of CRC-verified cell results (empty on a missing file or
-/// a header that does not match the plan).  Exposed for adversarial
-/// testing; the coordinator calls it on startup.
-[[nodiscard]] std::vector<CellResult> load_campaign_journal(
-    const std::string& path, const ExperimentPlan& plan);
-
 /// Extracts per-scenario expected wall seconds (gauge mean of
 /// `scenario.<key>.wall_s`) from a telemetry snapshot — feed a previous
 /// campaign's `--telemetry-out` file back in as scheduling priors.
 [[nodiscard]] std::map<std::string, double> cost_priors_from_snapshot(
     const telemetry::Snapshot& snapshot);
-
-/// `<dir>/campaign_<scale>_<fp hex>.journal` — the coordinator's
-/// crash-resume journal for `plan`.
-[[nodiscard]] std::string campaign_journal_path(const std::string& dir,
-                                                const ExperimentPlan& plan);
 
 }  // namespace aedbmls::expt

@@ -3,14 +3,15 @@
 #include <bit>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "aedb/tuning_problem.hpp"
 #include "common/durable_file.hpp"
 #include "common/fault.hpp"
+#include "common/line_codec.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "moo/core/dominance.hpp"
@@ -50,8 +51,8 @@ RunRecord run_cell(const std::string& algorithm, const std::string& scenario,
   record.wall_seconds = result.wall_seconds;
 
   // Instrument the cell.  The registry lives for exactly one cell, so its
-  // snapshot is the per-cell unit the campaign-wide fold (and the shard
-  // manifests) aggregate.
+  // snapshot is the per-cell unit the campaign-wide fold (and the
+  // journals' cell blocks) aggregate.
   telemetry::Registry registry;
   registry.counter("cells").add(1);
   registry.counter("evaluations").add(result.evaluations);
@@ -80,49 +81,56 @@ RunRecord run_cell(const std::string& algorithm, const std::string& scenario,
   return record;
 }
 
+/// One indicator-CSV row: exactly seven comma-separated fields, every
+/// number a full-token parse.  nullopt on anything else.
+std::optional<IndicatorSample> parse_cache_row(std::string_view row) {
+  std::vector<std::string_view> fields;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = row.find(',', start);
+    fields.push_back(row.substr(start, comma - start));
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
+  }
+  if (fields.size() != 7) return std::nullopt;
+  const auto seed = codec::parse_u64(fields[2]);
+  const auto front_size = codec::parse_u64(fields[3]);
+  const auto hypervolume = codec::parse_double(fields[4]);
+  const auto igd = codec::parse_double(fields[5]);
+  const auto spread = codec::parse_double(fields[6]);
+  if (!seed || !front_size || !hypervolume || !igd || !spread) {
+    return std::nullopt;
+  }
+  IndicatorSample sample;
+  sample.algorithm = fields[0];
+  sample.scenario = fields[1];
+  sample.run_seed = *seed;
+  sample.front_size = *front_size;
+  sample.hypervolume = *hypervolume;
+  sample.igd = *igd;
+  sample.spread = *spread;
+  return sample;
+}
+
 /// Parses a cache CSV; nullopt when the file is missing, malformed, or
 /// fails its CRC32 trailer (a bench killed mid-write or a corrupted byte
 /// must mean recompute — never crash or trust partial data).  Files
 /// without a trailer (written before checksums landed) still load.
 std::optional<std::vector<IndicatorSample>> parse_cache_file(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream slurp;
-  slurp << in.rdbuf();
-  std::string text = std::move(slurp).str();
-  if (io::strip_crc_trailer(text) == io::CrcCheck::kMismatch) {
+  auto text = io::read_file(path);
+  if (!text) return std::nullopt;
+  if (io::strip_crc_trailer(*text) == io::CrcCheck::kMismatch) {
     log_warn("cache ", path, " fails its crc32 trailer; recomputing");
     return std::nullopt;
   }
-  std::istringstream rows(text);
+  codec::LineReader rows(*text);
+  rows.next();  // header
   std::vector<IndicatorSample> samples;
-  std::string line;
-  std::getline(rows, line);  // header
-  try {
-    while (std::getline(rows, line)) {
-      if (line.empty()) continue;
-      std::istringstream row(line);
-      IndicatorSample s;
-      std::string cell;
-      if (!std::getline(row, s.algorithm, ',') ||
-          !std::getline(row, s.scenario, ',')) {
-        return std::nullopt;
-      }
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.run_seed = std::stoull(cell);
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.front_size = std::stoull(cell);
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.hypervolume = std::stod(cell);
-      if (!std::getline(row, cell, ',')) return std::nullopt;
-      s.igd = std::stod(cell);
-      if (!std::getline(row, cell)) return std::nullopt;
-      s.spread = std::stod(cell);
-      samples.push_back(std::move(s));
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
+  while (rows.next()) {
+    if (rows.line().empty()) continue;
+    auto sample = parse_cache_row(rows.line());
+    if (!sample) return std::nullopt;
+    samples.push_back(std::move(*sample));
   }
   return samples;
 }

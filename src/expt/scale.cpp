@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/line_codec.hpp"
 #include "expt/scenario_catalog.hpp"
 
 namespace aedbmls::expt {
@@ -66,18 +67,12 @@ std::size_t positive_override(const CliArgs& args, const std::string& flag,
 std::uint64_t seed_override(const CliArgs& args, std::uint64_t fallback) {
   if (!args.has("seed")) return fallback;
   const std::string text = args.get("seed");
-  std::size_t consumed = 0;
-  std::uint64_t value = 0;
-  try {
-    value = std::stoull(text, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (text.empty() || consumed != text.size() || text.front() == '-') {
+  const auto value = codec::parse_u64(text);
+  if (!value) {
     throw std::invalid_argument(
         "--seed must be a non-negative integer (got '" + text + "')");
   }
-  return value;
+  return *value;
 }
 
 }  // namespace

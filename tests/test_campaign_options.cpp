@@ -71,7 +71,6 @@ TEST(CampaignOptions, DefaultsToLocalMode) {
 }
 
 TEST(CampaignOptions, ParsesEachDistributionMode) {
-  EXPECT_EQ(parse_campaign_options(args_of({"--ranks=3"})).ranks, 3u);
   const auto shard =
       parse_campaign_options(args_of({"--shard=1/4", "--shard-dir=parts"}));
   EXPECT_EQ(shard.mode, CampaignMode::kShard);
@@ -97,10 +96,14 @@ TEST(CampaignOptions, ModeConflictNamesTheClashingPair) {
   EXPECT_NE(message.find("pick one distribution mode"), std::string::npos)
       << message;
   // Every pair conflicts, whatever the order.
-  EXPECT_FALSE(message_of({"--ranks=2", "--serve=0", "--workers=1"}).empty());
-  EXPECT_FALSE(message_of({"--connect=h:1", "--ranks=2"}).empty());
+  EXPECT_FALSE(message_of({"--shard=0/2", "--serve=0", "--workers=1"}).empty());
+  EXPECT_FALSE(message_of({"--connect=h:1", "--shard=0/2"}).empty());
+  EXPECT_FALSE(message_of({"--merge=a", "--serve=0", "--workers=1"}).empty());
   EXPECT_FALSE(message_of({"--merge=a", "--connect=h:1"}).empty());
+  EXPECT_FALSE(
+      message_of({"--connect=h:1", "--serve=0", "--workers=1"}).empty());
 }
+
 
 TEST(CampaignOptions, RejectsMalformedOperands) {
   // --shard grammar: i/N, digits only, 0 <= i < N.
@@ -114,7 +117,13 @@ TEST(CampaignOptions, RejectsMalformedOperands) {
         "--connect=h:0", "--connect=h:65536", "--connect=h:9x"}) {
     EXPECT_FALSE(message_of({spec}).empty()) << spec;
   }
-  EXPECT_FALSE(message_of({"--ranks=0"}).empty());
+  EXPECT_FALSE(message_of({"--shard=0/18446744073709551616"}).empty());
+  // --ranks was removed: CliArgs would silently ignore it, so the parser
+  // rejects it, naming the option it duplicated.
+  for (const char* spec : {"--ranks=2", "--ranks"}) {
+    EXPECT_NE(message_of({spec}).find("--workers=N"), std::string::npos)
+        << spec;
+  }
   EXPECT_FALSE(message_of({"--merge="}).empty());
   EXPECT_FALSE(message_of({"--serve=70000", "--workers=1"}).empty());
   EXPECT_FALSE(message_of({"--serve=0"}).empty());  // missing --workers
@@ -128,7 +137,11 @@ TEST(CampaignOptions, FrontOutRejectsPartialResultModes) {
       std::string::npos);
   EXPECT_FALSE(message_of({"--connect=h:1", "--front-out=d"}).empty());
   // ...but composes with the full-campaign modes.
-  EXPECT_EQ(parse_campaign_options(args_of({"--ranks=2", "--front-out=d"}))
+  EXPECT_EQ(parse_campaign_options(args_of({"--merge=m", "--front-out=d"}))
+                .front_out,
+            "d");
+  EXPECT_EQ(parse_campaign_options(
+                args_of({"--serve=0", "--workers=1", "--front-out=d"}))
                 .front_out,
             "d");
 }

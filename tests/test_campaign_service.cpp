@@ -1,13 +1,21 @@
-/// Elastic campaign service over an in-process transport world: the
+/// Campaign journals and the two ways of distributing a campaign over
+/// them.  The elastic service over an in-process transport world: the
 /// pull scheduler reproduces the single-driver indicator samples and CSV
 /// bitwise, requeues a dead worker's cells, fails loudly when the whole
 /// fleet departs, rejects fingerprint-mismatched workers, resumes from
-/// its crash journal, and warms worker caches.  The cell-block codec the
-/// wire rides on round-trips bitwise.
+/// its crash journal, and warms worker caches.  Offline sharding: the
+/// strided shard partition, and a `--shard`/`--merge` round trip through
+/// shard journals that reproduces the unsharded campaign bitwise and
+/// rejects foreign, missing, duplicate and contradictory shards by name.
+/// The cell-block codec the wire and the journals ride on round-trips
+/// bitwise.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -17,9 +25,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/durable_file.hpp"
 #include "expt/campaign_service.hpp"
 #include "expt/experiment.hpp"
-#include "expt/manifest.hpp"
+#include "expt/journal.hpp"
+#include "moo/core/front_io.hpp"
 #include "par/net/transport.hpp"
 
 namespace aedbmls::expt {
@@ -63,6 +73,11 @@ std::string slurp(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+void spit(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << bytes;
 }
 
 void expect_identical(const std::vector<IndicatorSample>& a,
@@ -386,6 +401,272 @@ TEST(CampaignService, CellResultCodecRoundTripsBitwise) {
                std::invalid_argument);  // truncated mid-block
   EXPECT_THROW((void)decode_cell_result(block + "trailing\n", 8),
                std::invalid_argument);  // trailing garbage
+  // Unsigned fields parse whole tokens, digits only: a negative run seed
+  // or evaluation count is an error, never a wrapped 2^64-1.
+  const std::size_t cell_line_end = block.find('\n');
+  for (const std::size_t field : {std::size_t{2}, std::size_t{3}}) {
+    std::istringstream cell_line(block.substr(0, cell_line_end));
+    std::vector<std::string> tokens;
+    for (std::string token; cell_line >> token;) tokens.push_back(token);
+    tokens[field] = "-1";
+    std::string tampered;
+    for (const std::string& token : tokens) {
+      tampered += (tampered.empty() ? "" : " ") + token;
+    }
+    tampered += block.substr(cell_line_end);
+    EXPECT_THROW((void)decode_cell_result(tampered, 8), std::invalid_argument)
+        << tampered;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Offline sharding: --shard=i/N writes shard journals, --merge replays them
+
+/// Runs every cell of `plan` sharded `count` ways via run_cells and
+/// writes each shard's journal under `dir`.
+void write_shards(const ExperimentPlan& plan, std::size_t count,
+                  const std::string& dir) {
+  for (std::size_t index = 0; index < count; ++index) {
+    const auto cells = cells_for_shard(plan, index, count);
+    auto records = ExperimentDriver(quiet(2)).run_cells(plan, cells);
+    std::vector<CellResult> results;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      results.push_back(CellResult{cells[i].index, std::move(records[i])});
+    }
+    (void)write_shard_journal(dir, plan, index, count, results);
+  }
+}
+
+/// The message `merge_campaign` rejects `dir` with ("" if it merges).
+std::string merge_error(const ExperimentPlan& plan, const std::string& dir) {
+  auto options = quiet(1);
+  options.cache_dir = dir + "_merged";
+  try {
+    (void)merge_campaign(plan, dir, options);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(CellsForShard, StridedPartitionIsExactAndDeterministic) {
+  const ExperimentPlan plan = tiny_plan();
+  const auto cells = plan.cells();
+  for (const std::size_t count : {1u, 2u, 3u, 4u, 5u}) {
+    std::vector<bool> seen(cells.size(), false);
+    for (std::size_t index = 0; index < count; ++index) {
+      const auto shard = cells_for_shard(plan, index, count);
+      // Balanced to within one cell.
+      EXPECT_LE(shard.size(), cells.size() / count + 1);
+      for (const auto& cell : shard) {
+        EXPECT_EQ(cell.index % count, index);  // strided assignment
+        EXPECT_FALSE(seen[cell.index]);
+        seen[cell.index] = true;
+        // The shard cell is the plan cell, verbatim.
+        EXPECT_EQ(cell.algorithm, cells[cell.index].algorithm);
+        EXPECT_EQ(cell.scenario, cells[cell.index].scenario);
+        EXPECT_EQ(cell.seed, cells[cell.index].seed);
+      }
+    }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      EXPECT_TRUE(seen[i]) << "cell " << i << " unassigned at " << count
+                           << " shards";
+    }
+  }
+}
+
+TEST(CellsForShard, RejectsInvalidShardCoordinates) {
+  const ExperimentPlan plan = tiny_plan();
+  EXPECT_THROW((void)cells_for_shard(plan, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)cells_for_shard(plan, 3, 3), std::invalid_argument);
+}
+
+TEST(ShardJournal, EncodeDecodeRoundTripsBitwise) {
+  const ExperimentPlan plan = tiny_plan();
+  const ExperimentPlan::Cell cell = plan.cells()[4];
+  CellResult result;
+  result.index = cell.index;
+  result.record.algorithm = cell.algorithm;
+  result.record.scenario = cell.scenario;
+  result.record.run_seed = cell.seed;
+  result.record.evaluations = 24;
+  result.record.wall_seconds = 0.12345678901234567;
+  // Doubles chosen to break lossy printf round trips: negative zero,
+  // subnormals, and adjacent representable values.
+  moo::Solution tricky;
+  tricky.objectives = {-0.0, 5e-324, std::nextafter(1.0, 2.0)};
+  tricky.x = {0.1, -1.0 / 3.0, 1e308, std::nextafter(0.5, 0.0), 42.0};
+  tricky.constraint_violation = 1.0000000000000002;
+  tricky.evaluated = true;
+  result.record.front = {tricky, tricky};
+  // Telemetry rides the cell block; 0.1 is inexact in binary64, so a
+  // lossy double round trip would show up here.
+  telemetry::Registry registry;
+  registry.counter("evaluations").add(24);
+  registry.gauge("cell.wall_s").observe(0.1);
+  registry.histogram("front.size").observe(2);
+  result.record.telemetry = registry.snapshot();
+
+  const std::string dir = scratch_dir("shard_round_trip");
+  const std::string path = write_shard_journal(dir, plan, 1, 3, {result});
+  EXPECT_EQ(path, dir + "/shard_1_of_3.journal");
+  EXPECT_EQ(slurp(path), encode_journal(plan, {result}));
+  const auto decoded = load_campaign_journal(path, plan);
+  ASSERT_EQ(decoded.size(), 1u);
+  const RunRecord& record = decoded[0].record;
+  EXPECT_EQ(decoded[0].index, 4u);
+  EXPECT_EQ(record.algorithm, result.record.algorithm);
+  EXPECT_EQ(record.scenario, result.record.scenario);
+  EXPECT_EQ(record.run_seed, result.record.run_seed);
+  EXPECT_EQ(record.evaluations, 24u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(record.wall_seconds),
+            std::bit_cast<std::uint64_t>(result.record.wall_seconds));
+  ASSERT_EQ(record.front.size(), 2u);
+  for (const moo::Solution& solution : record.front) {
+    ASSERT_EQ(solution.objectives.size(), tricky.objectives.size());
+    for (std::size_t i = 0; i < tricky.objectives.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(solution.objectives[i]),
+                std::bit_cast<std::uint64_t>(tricky.objectives[i]))
+          << "objective " << i;
+    }
+    ASSERT_EQ(solution.x.size(), tricky.x.size());
+    for (std::size_t i = 0; i < tricky.x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(solution.x[i]),
+                std::bit_cast<std::uint64_t>(tricky.x[i]))
+          << "variable " << i;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(solution.constraint_violation),
+              std::bit_cast<std::uint64_t>(tricky.constraint_violation));
+  }
+  EXPECT_EQ(record.telemetry, result.record.telemetry);
+}
+
+TEST(ShardJournal, MergeReconstructsTheUnshardedCampaignBitwise) {
+  const ExperimentPlan plan = tiny_plan();
+  auto full_options = quiet(2);
+  full_options.collect_records = true;
+  const auto full = ExperimentDriver(full_options).run(plan);
+
+  const std::string shard_dir = scratch_dir("shards");
+  write_shards(plan, 3, shard_dir);
+  // A shard file is a coordinator journal for its cells: crash-resume
+  // replay accepts every record in it.
+  EXPECT_EQ(
+      load_campaign_journal(shard_dir + "/shard_0_of_3.journal", plan).size(),
+      cells_for_shard(plan, 0, 3).size());
+
+  auto merge_options = quiet(1);
+  merge_options.cache_dir = scratch_dir("merged");
+  merge_options.collect_records = true;
+  const auto merged = merge_campaign(plan, shard_dir, merge_options);
+
+  expect_identical(full.samples, merged.samples);
+  ASSERT_EQ(merged.records.size(), full.records.size());
+
+  // The artifacts CI diffs: the CSV bytes equal the unsharded cache store
+  // (CRC trailer included), and each reference front file equals the one
+  // the full records imply.
+  EXPECT_EQ(slurp(indicator_csv_path(merge_options.cache_dir, plan)),
+            io::with_crc_trailer(indicator_csv(full.samples)));
+  for (const std::string& scenario : plan.scenarios) {
+    std::ostringstream path;
+    path << merge_options.cache_dir << "/reference_" << plan.scale.name << "_"
+         << std::hex << plan.fingerprint() << std::dec << "_" << scenario
+         << ".csv";
+    EXPECT_EQ(slurp(path.str()),
+              moo::front_to_csv(reference_front(full.records, scenario)))
+        << scenario;
+  }
+}
+
+TEST(ShardJournal, MergedTelemetryIsShardLayoutInvariant) {
+  // Per-cell telemetry rides the journals; merge_campaign folds it in
+  // grid order, so the exact instruments agree across shard layouts and
+  // with the unsharded driver run.
+  const ExperimentPlan plan = tiny_plan();
+  const auto full = ExperimentDriver(quiet(2)).run(plan);
+  ASSERT_FALSE(full.telemetry.empty());
+
+  for (const std::size_t count : {std::size_t{2}, std::size_t{3}}) {
+    const std::string shard_dir =
+        scratch_dir("telemetry_shards_" + std::to_string(count));
+    write_shards(plan, count, shard_dir);
+    auto merge_options = quiet(1);
+    merge_options.cache_dir =
+        scratch_dir("telemetry_merged_" + std::to_string(count));
+    const auto merged = merge_campaign(plan, shard_dir, merge_options);
+    EXPECT_EQ(merged.telemetry.counters, full.telemetry.counters)
+        << count << " shards";
+    EXPECT_EQ(merged.telemetry.histograms, full.telemetry.histograms)
+        << count << " shards";
+    ASSERT_EQ(merged.telemetry.gauges.size(), full.telemetry.gauges.size());
+    for (const auto& [name, gauge] : full.telemetry.gauges) {
+      EXPECT_EQ(merged.telemetry.gauges.at(name).count, gauge.count) << name;
+    }
+  }
+}
+
+TEST(ShardJournal, MergeRejectsForeignMissingAndDuplicateShards) {
+  const ExperimentPlan plan = tiny_plan();
+  const std::string dir = scratch_dir("reject_shards");
+  write_shards(plan, 2, dir);
+  const std::string shard0 = dir + "/shard_0_of_2.journal";
+  const std::string shard1 = dir + "/shard_1_of_2.journal";
+  const std::string intact0 = slurp(shard0);
+  const std::string intact1 = slurp(shard1);
+  const auto expect_rejected = [&](const ExperimentPlan& target,
+                                   const std::string& what) {
+    const std::string message = merge_error(target, dir);
+    EXPECT_NE(message.find(what), std::string::npos) << message;
+  };
+
+  // Merging into a reseeded plan: the shards were run against another.
+  ExperimentPlan reseeded = plan;
+  reseeded.scale.seed += 1;
+  expect_rejected(reseeded, "fingerprint mismatch");
+
+  // A header claiming a different grid size.
+  const std::size_t header_end = intact0.find('\n');
+  std::string header = intact0.substr(0, header_end);
+  header.replace(header.rfind(' ') + 1, std::string::npos,
+                 std::to_string(plan.cell_count() + 1));
+  spit(shard0, header + intact0.substr(header_end));
+  expect_rejected(plan, "cell count mismatch");
+  spit(shard0, intact0);
+
+  // A checksummed record whose index lies outside the plan.
+  const auto cells = plan.cells();
+  CellResult stray;
+  stray.index = cells.size();
+  stray.record.algorithm = cells[0].algorithm;
+  stray.record.scenario = cells[0].scenario;
+  stray.record.run_seed = cells[0].seed;
+  spit(shard1, intact1 + journal_record(stray));
+  expect_rejected(plan, "cell index out of range");
+
+  // A checksummed record whose metadata contradicts the plan.
+  CellResult imposter;
+  imposter.index = cells[1].index;
+  imposter.record.algorithm = cells[1].algorithm;
+  imposter.record.scenario = cells[1].scenario;
+  imposter.record.run_seed = cells[1].seed ^ 1;
+  spit(shard1, intact1.substr(0, intact1.find('\n') + 1) +
+                   journal_record(imposter));
+  expect_rejected(plan, "contradicts the plan");
+  spit(shard1, intact1);
+
+  // The same shard twice double-covers its cells.
+  spit(dir + "/shard_0_of_2_copy.journal", intact0);
+  expect_rejected(plan, "overlapping or duplicate shards");
+  std::filesystem::remove(dir + "/shard_0_of_2_copy.journal");
+
+  // A missing shard leaves holes, reported from the first one.
+  std::filesystem::remove(shard1);
+  expect_rejected(plan, "first missing: cell 1)");
+  spit(shard1, intact1);
+
+  // The untampered pair still merges.
+  EXPECT_EQ(merge_error(plan, dir), "");
 }
 
 }  // namespace

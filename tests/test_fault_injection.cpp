@@ -1,6 +1,6 @@
 /// The fault-injection subsystem and the durable I/O it attacks: plan
 /// grammar + trigger semantics + seeded determinism, CRC32 trailers and
-/// atomic file replacement, cache/manifest corruption handling, the
+/// atomic file replacement, cache and shard-journal corruption handling, the
 /// crash-resume journal under adversarial inputs (torn tail, bit flips,
 /// wrong fingerprint, empty file), worker-side coordinator-loss detection
 /// (typed error + heartbeat deadline over real sockets), and the four
@@ -27,7 +27,7 @@
 #include "common/fault.hpp"
 #include "expt/campaign_service.hpp"
 #include "expt/experiment.hpp"
-#include "expt/manifest.hpp"
+#include "expt/journal.hpp"
 #include "par/net/tcp_transport.hpp"
 #include "par/net/transport.hpp"
 
@@ -89,7 +89,9 @@ CellResult fabricate(const ExperimentPlan::Cell& cell) {
   return result;
 }
 
-std::string journal_record(const CellResult& result) {
+/// One journal record spelled out by hand (block + `crc` line), so these
+/// tests pin the on-disk format independently of the library's encoder.
+std::string crc_record(const CellResult& result) {
   const std::string block = encode_cell_result(result);
   return block + "crc " + io::crc32_hex(block) + "\n";
 }
@@ -99,7 +101,7 @@ std::string journal_bytes(const ExperimentPlan& plan, std::size_t records) {
   std::string bytes = "aedbmls-campaign-journal v2 " + fingerprint_hex(plan) +
                       " " + std::to_string(cells.size()) + "\n";
   for (std::size_t i = 0; i < records; ++i) {
-    bytes += journal_record(fabricate(cells[i]));
+    bytes += crc_record(fabricate(cells[i]));
   }
   return bytes;
 }
@@ -140,6 +142,8 @@ TEST(FaultPlan, RejectsMalformedSpecsWithoutInstallingThem) {
       "net.frame.dorp=always",        // unknown site (typo must fail loudly)
       "net.frame.drop",               // no trigger
       "net.frame.drop=nth:0",         // nth is 1-based
+      "net.frame.drop=nth:-1",        // no sign (stoull wraps it to 2^64-1)
+      "net.frame.drop=after:3x",      // trailing junk
       "net.frame.drop=every:0",       // zero period
       "net.frame.drop=prob:1.5",      // probability out of range
       "net.frame.drop=maybe",         // unknown trigger
@@ -334,6 +338,17 @@ TEST(CacheHardening, StoreSealsAndLoadRejectsCorruption) {
   // Legacy cache without a trailer still loads.
   spit(path, indicator_csv(samples));
   EXPECT_TRUE(load_cached_samples(dir, plan).has_value());
+
+  // ...but only when every number is a whole token: a poisoned seed that
+  // stoull would read as 12 or wrap to 2^64-1 means recompute.
+  const std::string legacy = indicator_csv(samples);
+  const std::string seed = std::to_string(samples[0].run_seed);
+  for (const char* poison : {"12abc", "-1"}) {
+    std::string poisoned = legacy;
+    poisoned.replace(poisoned.find("," + seed + ",") + 1, seed.size(), poison);
+    spit(path, poisoned);
+    EXPECT_FALSE(load_cached_samples(dir, plan).has_value()) << poison;
+  }
 }
 
 TEST(CacheHardening, WriteFailSiteSkipsTheStore) {
@@ -346,38 +361,59 @@ TEST(CacheHardening, WriteFailSiteSkipsTheStore) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-manifest hardening
+// Shard-journal hardening: --merge is strict where crash resume is tolerant
 
-TEST(ManifestHardening, CorruptManifestIsRejectedByName) {
-  const auto plan = tiny_plan();
-  const std::string dir = scratch_dir("manifest_hardening");
+/// Writes one shard journal holding a fabricated record for every cell of
+/// `plan`; returns its path.
+std::string write_full_shard(const ExperimentPlan& plan,
+                             const std::string& dir) {
   std::vector<CellResult> results;
   for (const auto& cell : plan.cells()) results.push_back(fabricate(cell));
-  const std::string path =
-      write_manifest(dir, make_manifest(plan, 0, 1, std::move(results)));
-  ASSERT_NE(slurp(path).find("#crc32 "), std::string::npos);
-  EXPECT_EQ(load_manifests(dir).size(), 1u);
+  return write_shard_journal(dir, plan, 0, 1, results);
+}
+
+/// The message `merge_campaign` rejects `dir` with ("" if it merges).
+std::string merge_error(const ExperimentPlan& plan, const std::string& dir) {
+  ExperimentDriver::Options options;
+  options.verbose = false;
+  options.cache_dir = dir + "_merged";
+  try {
+    (void)merge_campaign(plan, dir, options);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ShardJournalHardening, CorruptShardJournalIsRejectedByName) {
+  const auto plan = tiny_plan();
+  const std::string dir = scratch_dir("shard_journal_hardening");
+  const std::string path = write_full_shard(plan, dir);
+  EXPECT_EQ(merge_error(plan, dir), "");
 
   std::string corrupt = slurp(path);
   corrupt[corrupt.find("cell ") + 5] ^= 0x01;
   spit(path, corrupt);
-  try {
-    (void)load_manifests(dir);
-    FAIL() << "corrupt manifest must be rejected";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("crc32"), std::string::npos);
-    EXPECT_NE(std::string(error.what()).find(path), std::string::npos);
-  }
+  const std::string message = merge_error(plan, dir);
+  EXPECT_NE(message.find("crc mismatch"), std::string::npos) << message;
+  EXPECT_NE(message.find(path), std::string::npos) << message;
 }
 
-TEST(ManifestHardening, LegacyManifestWithoutTrailerStillLoads) {
+TEST(ShardJournalHardening, TornShardJournalFailsTheMergeNotTheResume) {
+  // The coordinator's replay keeps the valid prefix of a torn journal;
+  // the merge, handed the same bytes, must refuse — a merged campaign
+  // with a silently dropped cell would be missing data, not resumable.
   const auto plan = tiny_plan();
-  const std::string dir = scratch_dir("manifest_legacy");
-  std::vector<CellResult> results;
-  for (const auto& cell : plan.cells()) results.push_back(fabricate(cell));
-  spit(dir + "/" + manifest_filename(0, 1),
-       encode_manifest(make_manifest(plan, 0, 1, std::move(results))));
-  EXPECT_EQ(load_manifests(dir).size(), 1u);
+  const std::string dir = scratch_dir("shard_journal_torn");
+  const std::string path = write_full_shard(plan, dir);
+  const std::string intact = slurp(path);
+  const std::size_t last_record = intact.rfind("cell ");
+  spit(path, intact.substr(0, last_record + (intact.size() - last_record) / 2));
+
+  EXPECT_EQ(load_campaign_journal(path, plan).size(), plan.cell_count() - 1);
+  const std::string message = merge_error(plan, dir);
+  EXPECT_NE(message.find("torn tail"), std::string::npos) << message;
+  EXPECT_NE(message.find(path), std::string::npos) << message;
 }
 
 // ---------------------------------------------------------------------------
@@ -428,8 +464,8 @@ TEST(JournalAdversarial, DuplicateOrMismatchedRecordsStopTheReplay) {
 
   // The same cell twice: the duplicate (and everything after) is dropped.
   std::string bytes = journal_bytes(plan, 1);
-  bytes += journal_record(fabricate(cells[0]));
-  bytes += journal_record(fabricate(cells[1]));
+  bytes += crc_record(fabricate(cells[0]));
+  bytes += crc_record(fabricate(cells[1]));
   spit(path, bytes);
   EXPECT_EQ(load_campaign_journal(path, plan).size(), 1u);
 
@@ -437,7 +473,7 @@ TEST(JournalAdversarial, DuplicateOrMismatchedRecordsStopTheReplay) {
   // even though its CRC verifies.
   CellResult imposter = fabricate(cells[1]);
   imposter.record.run_seed ^= 1;
-  spit(path, journal_bytes(plan, 1) + journal_record(imposter));
+  spit(path, journal_bytes(plan, 1) + crc_record(imposter));
   EXPECT_EQ(load_campaign_journal(path, plan).size(), 1u);
 }
 

@@ -284,6 +284,14 @@ TEST(Codec, RejectsMalformedLines) {
   EXPECT_THROW(
       telemetry::decode_snapshot_line("tcounter cells notanumber", snapshot),
       std::invalid_argument);
+  // Full-token unsigned parsing: no sign (stoull would wrap -1 to
+  // 2^64-1), no trailing junk, no overflow.
+  for (const char* line : {"tcounter n -1", "tcounter n 12abc",
+                           "tcounter n 18446744073709551616"}) {
+    EXPECT_THROW(telemetry::decode_snapshot_line(line, snapshot),
+                 std::invalid_argument)
+        << line;
+  }
   EXPECT_THROW(telemetry::decode_snapshot_line("tgauge wall 1 2.0", snapshot),
                std::invalid_argument);
   // Histogram whose bucket counts do not add up to its count.

@@ -40,13 +40,14 @@ struct FileExemption {
 };
 
 /// The byte-contract codecs: every file that renders doubles into
-/// campaign artifacts (manifests, indicator CSVs, reference fronts, the
-/// crash-resume journal, telemetry lines) or into result tables.
-constexpr std::array<std::string_view, 7> kCodecFiles = {
-    "expt/manifest.cpp",         "expt/experiment.cpp",
-    "expt/campaign_service.cpp", "common/telemetry.cpp",
-    "common/durable_file.cpp",   "common/table.cpp",
-    "moo/core/front_io.cpp"};
+/// campaign artifacts (campaign and shard journals, indicator CSVs,
+/// reference fronts, telemetry lines) or into result tables, and the line
+/// codec they all share.
+constexpr std::array<std::string_view, 8> kCodecFiles = {
+    "common/line_codec.cpp",     "expt/journal.cpp",
+    "expt/experiment.cpp",       "expt/campaign_service.cpp",
+    "common/telemetry.cpp",      "common/durable_file.cpp",
+    "common/table.cpp",          "moo/core/front_io.cpp"};
 
 void skip_spaces(std::string_view code, std::size_t& i) {
   while (i < code.size() && is_space(code[i])) ++i;
