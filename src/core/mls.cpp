@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <memory>
 #include <thread>
 
 #include "common/assert.hpp"
 #include "common/clock.hpp"
+#include "common/rng.hpp"
+#include "moo/core/aga_archive.hpp"
 #include "moo/core/nds.hpp"
 #include "moo/operators/blx_alpha.hpp"
 
@@ -15,10 +16,9 @@ namespace aedbmls::core {
 namespace {
 
 /// Canonical order for reported fronts: objectives, then violation, then
-/// decision vector — all lexicographic.  The archive snapshot arrives in
-/// insertion order, which depends on how worker wall-times interleaved;
-/// sorting makes two runs that admitted the same point *set* compare
-/// byte-identical (the race==full contract, and `--front-out` artifacts).
+/// decision vector — all lexicographic.  The archive holds its members in
+/// admission-and-eviction order; sorting makes the reported front (and the
+/// `--front-out` artifacts) a function of the retained point *set* only.
 bool canonical_less(const moo::Solution& a, const moo::Solution& b) {
   if (a.objectives != b.objectives) return a.objectives < b.objectives;
   if (a.constraint_violation != b.constraint_violation) {
@@ -27,45 +27,72 @@ bool canonical_less(const moo::Solution& a, const moo::Solution& b) {
   return a.x < b.x;
 }
 
-/// Shared state of one island: its population plus the epoch snapshot and
-/// the reset-sample requests served inside the barrier completion step.
-///
-/// `snapshot` is written only by the completion function (while every
-/// non-dropped worker is blocked in the barrier) and read only between
-/// barrier phases, so workers read it without locks; the barrier's
-/// release/acquire ordering publishes it.
+/// One island's shared state.  Between barriers worker `w` writes only
+/// `slots[w]` and every worker reads only `snapshot`; the barrier
+/// completion is the only code that reads `slots` or writes `snapshot`.
+/// The barrier's release/acquire ordering publishes both directions, so no
+/// lock is needed.
 struct Island {
-  SharedPopulation population;
-  ArchiveActor* archive;
-  std::vector<moo::Solution> snapshot;
+  std::vector<moo::Solution> slots;        ///< workers' current solutions
+  std::vector<moo::Solution> snapshot;     ///< epoch copy teammates read
   std::vector<std::uint8_t> wants_sample;  ///< slot-indexed reset requests
 
-  Island(std::size_t size, ArchiveActor* archive_actor)
-      : population(size), archive(archive_actor), wants_sample(size, 0) {}
+  explicit Island(std::size_t size) : slots(size), wants_sample(size, 0) {}
+};
 
-  /// Barrier completion: serve this phase's reset samples in slot order
-  /// (deterministic within the island — the draw order no longer depends
-  /// on which worker reached the archive first), then refresh the epoch
-  /// snapshot every teammate read of the next phase is served from.
-  void on_phase() noexcept {
-    for (std::size_t slot = 0; slot < wants_sample.size(); ++slot) {
-      if (wants_sample[slot] == 0) continue;
-      wants_sample[slot] = 0;
-      auto sampled = archive->sample(1);
-      if (!sampled.empty()) population.set(slot, sampled.front());
+/// Everything the global barrier's completion step owns: the external AGA
+/// archive, its sampling RNG, every island, and one buffer per worker
+/// (flat, population-major index) of solutions accepted since the last
+/// phase.  Workers only append to their own buffer between barriers.
+struct Epochs {
+  moo::AgaArchive archive;
+  Xoshiro256 rng;
+  std::vector<Island> islands;
+  std::vector<std::vector<moo::Solution>> pending;
+  std::uint64_t inserts_accepted = 0;
+
+  Epochs(const MlsConfig& config, std::uint64_t seed)
+      : archive(config.archive_capacity, config.grid_depth),
+        rng(hash_combine(seed, 0xA2C41)),
+        islands(config.populations, Island(config.threads_per_population)),
+        pending(config.populations * config.threads_per_population) {}
+
+  /// Admits every buffer in canonical (island, worker, seq) order, so the
+  /// archive never depends on how worker wall-times interleaved.
+  void admit_pending() {
+    for (std::vector<moo::Solution>& buffer : pending) {
+      for (const moo::Solution& s : buffer) {
+        if (archive.try_insert(s)) ++inserts_accepted;
+      }
+      buffer.clear();
     }
-    snapshot = population.slots();
+  }
+
+  /// Barrier completion: admit the epoch's buffers, serve the reset samples
+  /// in (island, slot) order, then refresh every island's snapshot.
+  void on_phase() noexcept {
+    admit_pending();
+    for (Island& island : islands) {
+      for (std::size_t slot = 0; slot < island.wants_sample.size(); ++slot) {
+        if (island.wants_sample[slot] == 0) continue;
+        island.wants_sample[slot] = 0;
+        if (!archive.empty()) {
+          island.slots[slot] = archive.sample(1, rng).front();
+        }
+      }
+      island.snapshot = island.slots;
+    }
   }
 };
 
 /// `std::barrier` requires a nothrow-invocable completion; a small functor
 /// (not `std::function`) satisfies that.
-struct IslandCompletion {
-  Island* island;
-  void operator()() noexcept { island->on_phase(); }
+struct EpochCompletion {
+  Epochs* epochs;
+  void operator()() noexcept { epochs->on_phase(); }
 };
 
-using IslandBarrier = std::barrier<IslandCompletion>;
+using EpochBarrier = std::barrier<EpochCompletion>;
 
 /// Everything one worker thread needs; shared pieces by reference.
 struct WorkerContext {
@@ -73,8 +100,8 @@ struct WorkerContext {
   const MlsConfig& config;
   const std::vector<SearchCriterion>& criteria;
   Island& island;
-  IslandBarrier& population_barrier;
-  ArchiveActor& archive;
+  std::vector<moo::Solution>& pending;  ///< this worker's admission buffer
+  EpochBarrier& barrier;
   const moo::EvaluationEngine& evaluator;
   std::size_t slot;     ///< this worker's slot in its population
   std::size_t budget;   ///< candidates this worker may walk
@@ -119,10 +146,10 @@ moo::Solution initialise_solution(WorkerContext& ctx) {
   return best;
 }
 
-/// Teammate `t` from the island's epoch snapshot.  Same draw semantics as
-/// `SharedPopulation::random_other` (single-slot islands use their own
-/// slot and consume no draw), but against the barrier-refreshed copy, so
-/// the pick is independent of how live worker timings interleave.
+/// Teammate `t`: a uniformly chosen other slot of the island's epoch
+/// snapshot (single-slot islands use their own slot and consume no draw).
+/// Reading the barrier-refreshed copy keeps the pick independent of how
+/// live worker timings interleave.
 const moo::Solution& snapshot_teammate(WorkerContext& ctx) {
   const std::vector<moo::Solution>& snap = ctx.island.snapshot;
   if (snap.size() == 1) return snap[ctx.slot];
@@ -138,12 +165,13 @@ const moo::Solution& snapshot_teammate(WorkerContext& ctx) {
 void worker_loop(WorkerContext ctx) {
   // Lines 1-3: initialise, evaluate, store.
   moo::Solution s = initialise_solution(ctx);
-  ctx.archive.insert(s);
-  ctx.island.population.set(ctx.slot, s);
+  ctx.pending.push_back(s);
+  ctx.island.slots[ctx.slot] = s;
 
-  // Line 4: wait until the local population is fully initialised (the
-  // completion step takes the first epoch snapshot).
-  ctx.population_barrier.arrive_and_wait();
+  // Line 4: wait until every population is fully initialised (the
+  // completion step admits the initial solutions and takes the first
+  // epoch snapshot).
+  ctx.barrier.arrive_and_wait();
 
   const std::size_t budget = ctx.budget;
   std::size_t spent = 1;  // the initial evaluation above (at least one)
@@ -254,9 +282,9 @@ void worker_loop(WorkerContext ctx) {
 
       // Lines 9-12: accept only feasible perturbations.
       if (candidate.feasible()) {
-        ctx.archive.insert(candidate);
+        ctx.pending.push_back(candidate);
         s = std::move(candidate);
-        ctx.island.population.set(ctx.slot, s);
+        ctx.island.slots[ctx.slot] = s;
         ctx.accepted.fetch_add(1, std::memory_order_relaxed);
         was_accepted = true;
       } else {
@@ -279,27 +307,29 @@ void worker_loop(WorkerContext ctx) {
     }
 
     // Lines 13-16: periodic re-initialisation from the external archive.
-    // The sample itself is served in slot order by the barrier completion
-    // (which then refreshes the epoch snapshot); the worker re-reads its
-    // slot after release.
+    // The barrier completion admits this epoch's buffers, serves the
+    // sample in (island, slot) order and refreshes the epoch snapshots;
+    // the worker re-reads its slot after release.
     ++iteration;
     if (iteration % ctx.config.reset_period == 0 && spent < budget) {
       AEDB_REQUIRE(chain_pos >= chain.size(),
                    "speculative chain crossed a reset boundary");
       ctx.island.wants_sample[ctx.slot] = 1;
       ctx.resets.fetch_add(1, std::memory_order_relaxed);
-      ctx.population_barrier.arrive_and_wait();
-      s = ctx.island.population.get(ctx.slot);
+      ctx.barrier.arrive_and_wait();
+      s = ctx.island.slots[ctx.slot];
       chain.clear();
       rng_after.clear();
       chain_pos = 0;
     }
   }
 
-  // Drop out of future barrier rounds: teammates with a one-larger budget
+  // Drop out of future barrier rounds: workers with a one-larger budget
   // (remainder distribution) may still have a reset phase to complete, and
   // this arrival both finishes the current phase and shrinks later ones.
-  ctx.population_barrier.arrive_and_drop();
+  // The buffer is final from here on; the next completion (or the admit
+  // after join) picks it up.
+  ctx.barrier.arrive_and_drop();
 }
 
 }  // namespace
@@ -319,9 +349,6 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
   }
   validate_criteria(criteria, problem.dimensions());
 
-  ArchiveActor archive(config_.archive_capacity, config_.grid_depth,
-                       hash_combine(seed, 0xA2C41));
-
   // Racing mode batches screens (and promotions) through an engine; a
   // pool-less fallback keeps the single code path when the caller brings
   // none.
@@ -337,20 +364,13 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
   std::atomic<std::uint64_t> screen_rejected{0};
   std::atomic<std::uint64_t> promoted{0};
 
-  // One island (SharedPopulation + epoch snapshot) and barrier per
-  // population; one OS thread per worker (the paper's deployment maps
-  // islands to cluster nodes and workers to cores; see DESIGN.md
-  // substitution #2).  The barrier's completion step serves reset samples
-  // and refreshes the island snapshot.
-  std::vector<std::unique_ptr<Island>> islands;
-  std::vector<std::unique_ptr<IslandBarrier>> barriers;
-  for (std::size_t p = 0; p < config_.populations; ++p) {
-    islands.push_back(
-        std::make_unique<Island>(config_.threads_per_population, &archive));
-    barriers.push_back(std::make_unique<IslandBarrier>(
-        static_cast<std::ptrdiff_t>(config_.threads_per_population),
-        IslandCompletion{islands.back().get()}));
-  }
+  // One OS thread per worker (the paper's deployment maps islands to
+  // cluster nodes and workers to cores), all on one barrier whose
+  // completion step owns the archive and the islands.
+  Epochs epochs(config_, seed);
+  EpochBarrier barrier(
+      static_cast<std::ptrdiff_t>(epochs.pending.size()),
+      EpochCompletion{&epochs});
 
   std::vector<std::thread> workers;
   workers.reserve(config_.populations * config_.threads_per_population);
@@ -368,13 +388,13 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
       const std::size_t budget =
           config_.evaluations_per_thread +
           (flat < config_.extra_evaluation_workers ? 1 : 0);
-      workers.emplace_back([&, p, w, worker_seed, warm, budget] {
+      workers.emplace_back([&, p, w, flat, worker_seed, warm, budget] {
         WorkerContext ctx{problem,
                           config_,
                           criteria,
-                          *islands[p],
-                          *barriers[p],
-                          archive,
+                          epochs.islands[p],
+                          epochs.pending[flat],
+                          barrier,
                           engine,
                           w,
                           budget,
@@ -392,18 +412,20 @@ moo::AlgorithmResult AedbMls::run(const moo::Problem& problem,
     }
   }
   for (std::thread& worker : workers) worker.join();
+  // The last arrive_and_drop completed a phase, so the buffers are normally
+  // empty here; admitting once more keeps the front independent of that.
+  epochs.admit_pending();
 
   moo::AlgorithmResult result;
-  result.front = archive.snapshot();
+  result.front = epochs.archive.contents();
   std::sort(result.front.begin(), result.front.end(), canonical_less);
-  archive.stop();
 
   stats_ = Stats{};
   stats_.evaluations = evaluations.load();
   stats_.accepted_moves = accepted.load();
   stats_.rejected_infeasible = rejected.load();
   stats_.resets = resets.load();
-  stats_.archive_inserts_accepted = archive.counters().inserts_accepted;
+  stats_.archive_inserts_accepted = epochs.inserts_accepted;
   stats_.screened = screened.load();
   stats_.screen_rejected = screen_rejected.load();
   stats_.promoted = promoted.load();

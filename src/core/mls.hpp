@@ -4,9 +4,9 @@
 /// multi-start multi-objective local search.
 ///
 /// Structure (Fig. 3 / Fig. 4):
-///  * `populations` islands, each a `SharedPopulation` of
-///    `threads_per_population` worker threads (shared memory);
-///  * one external AGA archive running as a message-passing actor;
+///  * `populations` islands of `threads_per_population` worker threads
+///    each, sharing their current solutions in memory;
+///  * one external AGA archive fed by every island;
 ///  * every worker repeatedly: picks a teammate `t` from its island's
 ///    *epoch snapshot* (see below), draws one of the sensitivity-guided
 ///    search criteria, applies the Eq.-2 BLX-α step to that criterion's
@@ -17,13 +17,18 @@
 ///    re-seeds every slot from the archive, and re-synchronises its
 ///    threads.
 ///
-/// **Epoch snapshots.**  Teammate reads are served from a per-island copy
-/// of the population refreshed only at barrier phases (initialisation and
-/// resets), and reset re-seeding is served *inside* the barrier's
-/// completion step in slot order.  Between barriers a worker's candidate
-/// sequence is therefore a pure function of (seed, snapshot) — never of
-/// how worker wall-times interleave — which is what lets the racing mode
-/// below change per-candidate cost without changing any trajectory.
+/// **Epochs.**  All workers of all islands share one barrier, crossed at
+/// initialisation and at every reset.  Between crossings a worker writes
+/// no shared state but its own: it appends accepted solutions to its
+/// private admission buffer, writes its current solution to its slot, and
+/// reads teammates from the island's *epoch snapshot*.  The barrier's
+/// completion step then, in this order, admits every buffer into the
+/// archive in canonical (island, worker, seq) order, serves the reset
+/// samples in (island, slot) order, and refreshes every snapshot.  A
+/// worker's candidate sequence is therefore a pure function of (seed,
+/// snapshot, samples) — never of how worker wall-times interleave — which
+/// is what lets the racing mode below change per-candidate cost without
+/// changing any trajectory.
 ///
 /// **Racing mode** (`screen_moves`).  When the problem exposes a
 /// conservative screening tier (`Problem::screening_tier`), each worker
@@ -45,18 +50,12 @@
 ///
 /// Budget: `evaluations_per_thread` *candidates* per worker (250 in the
 /// paper => 8×12×250 = 24000 total; in racing mode screen-rejected
-/// candidates consume budget without a full simulation).  Runs are
-/// deterministic given (problem, seed) up to the arrival order of archive
-/// messages, which can only change *which* equally non-dominated points
-/// the bounded archive retains and what reset re-seeding samples (the
-/// returned front is canonically sorted, so runs that admit the same
-/// point set compare byte-identical).
+/// candidates consume budget without a full simulation).  Runs are fully
+/// deterministic given (problem, seed): the front, its (canonically
+/// sorted) order and every `Stats` field are byte-identical across
+/// repeats, thread placements and core counts.
 
-#include <optional>
-
-#include "core/archive_actor.hpp"
 #include "core/search_criteria.hpp"
-#include "core/shared_population.hpp"
 #include "moo/algorithms/algorithm.hpp"
 
 namespace aedbmls::core {
@@ -70,8 +69,8 @@ struct MlsConfig {
   /// grid; distributing the remainder here lets callers consume exactly
   /// the declared budget instead of silently truncating it (with 120
   /// evaluations over 96 workers the plain division drops 24 of them).
-  /// Safe with the reset barriers: a finished worker drops out via
-  /// `arrive_and_drop`, so budgets may differ across the island.
+  /// Safe with the reset barrier: a finished worker drops out via
+  /// `arrive_and_drop`, so budgets may differ across workers.
   std::size_t extra_evaluation_workers = 0;
   std::size_t reset_period = 50;            ///< paper's tuned value (§V)
   double alpha = 0.2;                       ///< paper's tuned BLX-α value (§V)

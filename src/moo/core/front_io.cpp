@@ -1,67 +1,28 @@
 #include "moo/core/front_io.hpp"
 
-#include <sstream>
-#include <stdexcept>
-
+#include "common/line_codec.hpp"
 #include "moo/core/nds.hpp"
 
 namespace aedbmls::moo {
 
 std::string front_to_csv(const std::vector<Solution>& front) {
-  std::ostringstream os;
-  os.precision(17);
   if (front.empty()) return "";
+  std::string out;
   const std::size_t d = front.front().x.size();
   const std::size_t m = front.front().objectives.size();
-  for (std::size_t i = 0; i < d; ++i) os << "x" << i << ",";
-  for (std::size_t i = 0; i < m; ++i) os << "f" << i << ",";
-  os << "cv\n";
+  for (std::size_t i = 0; i < d; ++i) out += "x" + std::to_string(i) + ",";
+  for (std::size_t i = 0; i < m; ++i) out += "f" + std::to_string(i) + ",";
+  out += "cv\n";
+  const auto cell = [&out](double value, char end) {
+    codec::append_double(out, value);
+    out += end;
+  };
   for (const Solution& s : front) {
-    for (const double v : s.x) os << v << ",";
-    for (const double v : s.objectives) os << v << ",";
-    os << s.constraint_violation << "\n";
+    for (const double v : s.x) cell(v, ',');
+    for (const double v : s.objectives) cell(v, ',');
+    cell(s.constraint_violation, '\n');
   }
-  return os.str();
-}
-
-std::vector<Solution> front_from_csv(const std::string& csv) {
-  std::istringstream is(csv);
-  std::string line;
-  if (!std::getline(is, line)) return {};
-
-  // Header: count x-columns and f-columns.
-  std::size_t dims = 0;
-  std::size_t objs = 0;
-  {
-    std::istringstream header(line);
-    std::string cell;
-    while (std::getline(header, cell, ',')) {
-      if (!cell.empty() && cell[0] == 'x') ++dims;
-      else if (!cell.empty() && cell[0] == 'f') ++objs;
-      else if (cell != "cv") throw std::runtime_error("bad front CSV header");
-    }
-  }
-
-  std::vector<Solution> front;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string cell;
-    Solution s;
-    s.evaluated = true;
-    for (std::size_t i = 0; i < dims; ++i) {
-      if (!std::getline(row, cell, ',')) throw std::runtime_error("short row");
-      s.x.push_back(std::stod(cell));
-    }
-    for (std::size_t i = 0; i < objs; ++i) {
-      if (!std::getline(row, cell, ',')) throw std::runtime_error("short row");
-      s.objectives.push_back(std::stod(cell));
-    }
-    if (!std::getline(row, cell, ',')) throw std::runtime_error("short row");
-    s.constraint_violation = std::stod(cell);
-    front.push_back(std::move(s));
-  }
-  return front;
+  return out;
 }
 
 std::vector<Solution> merge_fronts(

@@ -1,6 +1,6 @@
 #pragma once
 
-/// Pareto-front persistence and merging.
+/// Pareto-front serialisation and merging.
 
 #include <string>
 #include <vector>
@@ -9,12 +9,9 @@
 
 namespace aedbmls::moo {
 
-/// Serialises a front as CSV: x0..x{d-1}, f0..f{m-1}, cv.
+/// Serialises a front as CSV: x0..x{d-1}, f0..f{m-1}, cv, every value
+/// `%.17g` (the line codec's exact binary64 round trip).
 [[nodiscard]] std::string front_to_csv(const std::vector<Solution>& front);
-
-/// Parses the CSV produced by `front_to_csv` (dims/objs inferred from the
-/// header).  Throws std::runtime_error on malformed input.
-[[nodiscard]] std::vector<Solution> front_from_csv(const std::string& csv);
 
 /// Merges several fronts into their combined non-dominated set — the paper's
 /// "Reference Pareto front" construction (best of all runs/algorithms).

@@ -2,12 +2,9 @@
 
 /// Blocking multi-producer/multi-consumer mailbox.
 ///
-/// This is the transport of the in-process message-passing layer (DESIGN.md
-/// substitution #2): AEDB-MLS populations talk to the external-archive actor
-/// by sending messages to its mailbox, mirroring the paper's
-/// "message-passing ... between the distributed populations and the external
-/// archive".  A mailbox can be closed; receivers then drain remaining
-/// messages and get `std::nullopt`.
+/// It carries the tasks of `par::ThreadPool` and the inboxes of the
+/// in-process `par::net` transport.  A mailbox can be closed; receivers
+/// then drain remaining messages and get `std::nullopt`.
 
 #include <condition_variable>
 #include <deque>
@@ -45,15 +42,6 @@ class Mailbox {
     return out;
   }
 
-  /// Non-blocking receive.
-  std::optional<T> try_recv() {
-    std::lock_guard lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    T out = std::move(queue_.front());
-    queue_.pop_front();
-    return out;
-  }
-
   /// Closes the mailbox: senders fail, receivers drain then see nullopt.
   void close() {
     {
@@ -63,18 +51,8 @@ class Mailbox {
     cv_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    std::lock_guard lock(mutex_);
-    return closed_;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock(mutex_);
-    return queue_.size();
-  }
-
  private:
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<T> queue_;
   bool closed_ = false;

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "aedb/tuning_problem.hpp"
+#include "common/line_codec.hpp"
 #include "core/mls.hpp"
 #include "moo/algorithms/nsga2.hpp"
 #include "moo/core/front_io.hpp"
@@ -100,12 +102,27 @@ TEST(Integration, FrontSurvivesCsvRoundTrip) {
   const moo::AlgorithmResult result = mls.run(problem, 3);
   ASSERT_FALSE(result.front.empty());
 
+  // Every cell re-parses to the exact double it was written from.
   const std::string csv = moo::front_to_csv(result.front);
-  const auto restored = moo::front_from_csv(csv);
-  ASSERT_EQ(restored.size(), result.front.size());
-  for (std::size_t i = 0; i < restored.size(); ++i) {
-    EXPECT_EQ(restored[i].objectives, result.front[i].objectives);
+  codec::LineReader lines(csv);
+  ASSERT_TRUE(lines.next());  // header
+  for (const moo::Solution& s : result.front) {
+    ASSERT_TRUE(lines.next());
+    std::vector<double> expected = s.x;
+    expected.insert(expected.end(), s.objectives.begin(), s.objectives.end());
+    expected.push_back(s.constraint_violation);
+    std::vector<double> parsed;
+    std::string_view rest = lines.line();
+    while (!rest.empty()) {
+      const std::size_t comma = std::min(rest.find(','), rest.size());
+      const auto value = codec::parse_double(rest.substr(0, comma));
+      ASSERT_TRUE(value.has_value()) << lines.line();
+      parsed.push_back(*value);
+      rest.remove_prefix(std::min(comma + 1, rest.size()));
+    }
+    EXPECT_EQ(parsed, expected);
   }
+  EXPECT_FALSE(lines.next());
 }
 
 }  // namespace
