@@ -147,11 +147,4 @@ class ScenarioWorkspace {
                                           const AedbParams& params,
                                           ScenarioWorkspace& workspace);
 
-/// Deprecated pointer spelling: pass the workspace by reference, or omit it
-/// for a fresh run.
-[[deprecated("pass ScenarioWorkspace by reference (or omit it)")]]
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config,
-                                          const AedbParams& params,
-                                          ScenarioWorkspace* workspace);
-
 }  // namespace aedbmls::aedb

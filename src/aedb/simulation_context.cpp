@@ -109,12 +109,6 @@ ScenarioResult SimulationContext::run(const ScenarioConfig& config,
   return run_impl(config, params, &workspace);
 }
 
-ScenarioResult SimulationContext::run(const ScenarioConfig& config,
-                                      const AedbParams& params,
-                                      ScenarioWorkspace* workspace) {
-  return run_impl(config, params, workspace);
-}
-
 ScenarioResult SimulationContext::run_impl(const ScenarioConfig& config,
                                            const AedbParams& params,
                                            ScenarioWorkspace* workspace) {

@@ -146,11 +146,6 @@ AedbTuningProblem::Detail AedbTuningProblem::evaluate_detail(
   return detail_at(params, &workspace, 0, false);
 }
 
-AedbTuningProblem::Detail AedbTuningProblem::evaluate_detail(
-    const AedbParams& params, ScenarioWorkspace* workspace) const {
-  return detail_at(params, workspace, 0, false);
-}
-
 moo::Problem::Result AedbTuningProblem::evaluate_with(
     ScenarioWorkspace* workspace, const std::vector<double>& x,
     std::size_t tier, bool explicit_tier) const {

@@ -115,12 +115,6 @@ class AedbTuningProblem final : public moo::Problem {
   [[nodiscard]] Detail evaluate_detail(const AedbParams& params,
                                        ScenarioWorkspace& workspace) const;
 
-  /// Deprecated pointer spelling: pass the workspace by reference, or omit
-  /// it.
-  [[deprecated("pass ScenarioWorkspace by reference (or omit it)")]]
-  [[nodiscard]] Detail evaluate_detail(const AedbParams& params,
-                                       ScenarioWorkspace* workspace) const;
-
   /// Number of *full-fidelity* (tier 0) evaluations so far (thread-safe;
   /// benches report it).  Screening-tier evaluations are visible through
   /// `tier_counters`.

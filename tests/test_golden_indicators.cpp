@@ -3,11 +3,13 @@
 /// path before the SoA (flat NodeId-indexed) rewrite.  The flat path must
 /// reproduce these byte-for-byte — any drift means the statistics rewrite
 /// (or anything upstream of it) changed simulated behaviour, not just its
-/// storage layout.
+/// storage layout.  A second cell per regime pins the paper's AEDB-MLS:
+/// its indicator CSV and its reference-front bytes.
 ///
 /// Regenerate after an *intentional* behaviour change with:
 ///   AEDB_REGENERATE_GOLDEN=1 ./test_golden_indicators
-/// which rewrites tests/golden/indicators_<regime>.csv in the source tree.
+/// which rewrites tests/golden/{indicators,mls_indicators,mls_front}_<regime>.csv
+/// in the source tree.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "expt/experiment.hpp"
 #include "expt/scale.hpp"
 #include "expt/scenario_catalog.hpp"
+#include "moo/core/front_io.hpp"
 
 namespace aedbmls::expt {
 namespace {
@@ -39,8 +42,19 @@ Scale golden_scale(const std::string& scenario) {
   return scale;
 }
 
-std::string golden_path(const std::string& scenario) {
-  return std::string(AEDB_GOLDEN_DIR) + "/indicators_" + scenario + ".csv";
+/// One AEDB-MLS cell: 2 islands x 2 threads and 204 evaluations, i.e. 51
+/// per worker, so every worker crosses the 50-iteration reset and
+/// re-seeds from the archive the global barrier built.
+Scale mls_golden_scale(const std::string& scenario) {
+  Scale scale = golden_scale(scenario);
+  scale.evals = 204;
+  scale.mls_populations = 2;
+  scale.mls_threads = 2;
+  return scale;
+}
+
+std::string golden_path(const std::string& prefix, const std::string& scenario) {
+  return std::string(AEDB_GOLDEN_DIR) + "/" + prefix + "_" + scenario + ".csv";
 }
 
 std::optional<std::string> read_file(const std::string& path) {
@@ -51,37 +65,47 @@ std::optional<std::string> read_file(const std::string& path) {
   return data.str();
 }
 
-std::string run_cell_csv(const std::string& scenario) {
+ExperimentResult run_cell(const std::string& algorithm, const Scale& scale) {
   ExperimentDriver::Options options;
   options.workers = 1;
   options.use_cache = false;
   options.verbose = false;
-  const ExperimentPlan plan =
-      ExperimentPlan::of({"Random"}, golden_scale(scenario));
-  const ExperimentResult result = ExperimentDriver(options).run(plan);
-  return indicator_csv(result.samples);
+  options.collect_records = true;
+  return ExperimentDriver(options).run(ExperimentPlan::of({algorithm}, scale));
+}
+
+/// Compares `bytes` with the golden file at `path`, or rewrites the file
+/// when AEDB_REGENERATE_GOLDEN is set.
+void expect_pinned(const std::string& bytes, const std::string& path) {
+  if (std::getenv("AEDB_REGENERATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << bytes;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  const auto golden = read_file(path);
+  ASSERT_TRUE(golden.has_value())
+      << path << " missing — run AEDB_REGENERATE_GOLDEN=1 to create it";
+  EXPECT_EQ(bytes, *golden) << path << " drifted from the pinned bytes";
 }
 
 class GoldenIndicators : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenIndicators, CellCsvBytesArePinned) {
   const std::string scenario = GetParam();
-  const std::string csv = run_cell_csv(scenario);
-  const std::string path = golden_path(scenario);
+  const ExperimentResult result = run_cell("Random", golden_scale(scenario));
+  expect_pinned(indicator_csv(result.samples),
+                golden_path("indicators", scenario));
+}
 
-  if (std::getenv("AEDB_REGENERATE_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << path;
-    out << csv;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  const auto golden = read_file(path);
-  ASSERT_TRUE(golden.has_value())
-      << path << " missing — run AEDB_REGENERATE_GOLDEN=1 to create it";
-  EXPECT_EQ(csv, *golden)
-      << "indicator CSV for '" << scenario
-      << "' drifted from the pinned hash-map-path bytes";
+TEST_P(GoldenIndicators, MlsCellCsvAndReferenceFrontBytesArePinned) {
+  const std::string scenario = GetParam();
+  const ExperimentResult result =
+      run_cell("AEDB-MLS", mls_golden_scale(scenario));
+  expect_pinned(indicator_csv(result.samples),
+                golden_path("mls_indicators", scenario));
+  expect_pinned(moo::front_to_csv(reference_front(result.records, scenario)),
+                golden_path("mls_front", scenario));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/line_codec.hpp"
+
 namespace aedbmls::aedb {
 namespace {
 
@@ -101,6 +106,117 @@ TEST(Scenario, ZeroDelayConfigurationStillValid) {
   const ScenarioConfig config = make_paper_scenario(100, 17, 2);
   const ScenarioResult result = run_scenario(config, params);
   EXPECT_LE(result.stats.coverage, 24u);
+}
+
+/// The objective fields, `drop_decisions` and `mac_drops` of one run,
+/// doubles at `%.17g` (exact).
+std::string pinned_fields(const BroadcastStats& stats) {
+  std::string out = "coverage=" + std::to_string(stats.coverage) +
+                    " forwardings=" + std::to_string(stats.forwardings) +
+                    " energy_dbm_sum=";
+  codec::append_double(out, stats.energy_dbm_sum);
+  out += " energy_mj=";
+  codec::append_double(out, stats.energy_mj);
+  out += " broadcast_time_s=";
+  codec::append_double(out, stats.broadcast_time_s);
+  out += " drop_decisions=" + std::to_string(stats.drop_decisions) +
+         " mac_drops=" + std::to_string(stats.mac_drops);
+  return out;
+}
+
+struct PinnedRun {
+  const char* name;
+  ScenarioConfig config;
+  AedbParams params;
+  const char* expected;  ///< `pinned_fields` of the run's stats
+};
+
+/// Regimes at the edges of the run's timeline, each pinned to the exact
+/// outcome it has always had.
+std::vector<PinnedRun> pinned_runs() {
+  const AedbParams params = reasonable_params();
+
+  // Forwarding delays of up to 5 s: the dissemination is still under way
+  // when the 40 s horizon cuts it (see StillRunningAtEndAtIsCut).
+  AedbParams slow = params;
+  slow.max_delay_s = 5.0;
+
+  // The radio minimum: the source's frame reaches nobody.
+  ScenarioConfig silent = make_paper_scenario(100, 7, 0);
+  silent.default_tx_dbm = -60.0;
+
+  ScenarioConfig no_delay = make_paper_scenario(200, 7, 2);
+  no_delay.network.model_propagation_delay = false;
+
+  // Forwarders have no neighbor knowledge and fall back to default power.
+  ScenarioConfig late_beacons = make_paper_scenario(100, 7, 3);
+  late_beacons.beacon_start = sim::seconds(32);
+
+  // Nearly every receiver forwards within 20 ms with a long frame, and the
+  // MACs give up after two busy carrier senses: data frames are dropped.
+  ScenarioConfig congested = make_paper_scenario(300, 7, 5);
+  congested.data_bytes = 4000;
+  congested.network.mac.max_retries = 2;
+  AedbParams eager = params;
+  eager.max_delay_s = 0.02;
+  eager.border_threshold_dbm = -70.0;
+
+  ScenarioConfig screened = make_paper_scenario(200, 7, 4);
+  screened.stop_when_bt_exceeds_s = 0.1;
+
+  return {
+      {"d200", make_paper_scenario(200, 7, 0), params,
+       "coverage=49 forwardings=16 energy_dbm_sum=251.90790251368637"
+       " energy_mj=1.3605094378328813 broadcast_time_s=1.2314287530000001"
+       " drop_decisions=33 mac_drops=0"},
+      {"d300", make_paper_scenario(300, 7, 0), params,
+       "coverage=57 forwardings=11 energy_dbm_sum=176.22000000000003"
+       " energy_mj=0.98546386341134373 broadcast_time_s=0.37450332800000002"
+       " drop_decisions=46 mac_drops=0"},
+      {"running-at-end", make_paper_scenario(200, 7, 1), slow,
+       "coverage=31 forwardings=7 energy_dbm_sum=111.32500547321222"
+       " energy_mj=0.61178465290177297 broadcast_time_s=8.6412199059999999"
+       " drop_decisions=18 mac_drops=0"},
+      {"silent-source", silent, params,
+       "coverage=0 forwardings=0 energy_dbm_sum=0"
+       " energy_mj=0 broadcast_time_s=0"
+       " drop_decisions=0 mac_drops=0"},
+      {"no-propagation-delay", no_delay, params,
+       "coverage=47 forwardings=15 energy_dbm_sum=232.00216925644102"
+       " energy_mj=1.2397333853975399 broadcast_time_s=0.78196255700000006"
+       " drop_decisions=32 mac_drops=0"},
+      {"beacons-after-broadcast", late_beacons, params,
+       "coverage=18 forwardings=5 energy_dbm_sum=80.099999999999994"
+       " energy_mj=0.44793811973242903 broadcast_time_s=0.76860130100000001"
+       " drop_decisions=13 mac_drops=0"},
+      {"congested", congested, eager,
+       "coverage=58 forwardings=11 energy_dbm_sum=175.90646094505328"
+       " energy_mj=14.072848261115729 broadcast_time_s=0.38414228100000003"
+       " drop_decisions=0 mac_drops=47"},
+      {"screened", screened, params,
+       "coverage=20 forwardings=2 energy_dbm_sum=32.039999999999999"
+       " energy_mj=0.17917524789297162 broadcast_time_s=0.15292854"
+       " drop_decisions=9 mac_drops=0"},
+  };
+}
+
+TEST(Scenario, PinnedOutcomesAtTimelineEdges) {
+  for (const PinnedRun& run : pinned_runs()) {
+    const ScenarioResult result = run_scenario(run.config, run.params);
+    EXPECT_EQ(pinned_fields(result.stats), run.expected) << run.name;
+  }
+}
+
+TEST(Scenario, StillRunningAtEndAtIsCut) {
+  // The "running-at-end" row above really is cut by the horizon: a later
+  // end changes its outcome.
+  AedbParams slow = reasonable_params();
+  slow.max_delay_s = 5.0;
+  ScenarioConfig config = make_paper_scenario(200, 7, 1);
+  const ScenarioResult cut = run_scenario(config, slow);
+  config.end_at = sim::seconds(80);
+  const ScenarioResult full = run_scenario(config, slow);
+  EXPECT_NE(pinned_fields(cut.stats), pinned_fields(full.stats));
 }
 
 }  // namespace
