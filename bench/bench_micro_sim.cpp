@@ -158,6 +158,10 @@ void BM_FullScenarioPooled(benchmark::State& state) {
   state.counters["allocs_per_run"] = benchmark::Counter(
       static_cast<double>(g_allocations.load(std::memory_order_relaxed) - allocs0) /
       static_cast<double>(state.iterations()));
+  // Runs are deterministic, so this is an exact work count, not a timing:
+  // CI pins it per density.
+  state.counters["events_per_run"] = benchmark::Counter(
+      static_cast<double>(events) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("events/s");
 }

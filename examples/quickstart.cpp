@@ -55,11 +55,16 @@ int main(int argc, char** argv) {
   std::printf("broadcast time  : %.3f s   [constraint: < 2 s => %s]\n",
               stats.broadcast_time_s,
               stats.broadcast_time_s < 2.0 ? "feasible" : "INFEASIBLE");
-  std::printf("collisions      : %llu, protocol drops: %zu, MAC drops: %llu\n",
-              static_cast<unsigned long long>(stats.collisions),
-              stats.drop_decisions,
+  // The run stops once the dissemination is over (no data frame queued,
+  // on the air or waiting behind a forward timer), at `end_at` at the
+  // latest: collisions and events count up to that stop.
+  std::printf("protocol drops  : %zu, MAC drops: %llu\n", stats.drop_decisions,
               static_cast<unsigned long long>(stats.mac_drops));
-  std::printf("simulator events: %llu\n",
-              static_cast<unsigned long long>(result.events_executed));
+  std::printf("collisions      : %llu   [until the run ends]\n",
+              static_cast<unsigned long long>(stats.collisions));
+  std::printf("simulator events: %llu   [run ends when the dissemination is "
+              "over, %.0f s at the latest]\n",
+              static_cast<unsigned long long>(result.events_executed),
+              scenario.end_at.seconds());
   return 0;
 }

@@ -42,6 +42,7 @@ void AedbApp::originate(MessageId message) {
   frame.origin = node().id();
   frame.message_id = message;
   frame.size_bytes = config_.data_bytes;
+  collector_.open_data_work();  // closed by the MAC's sent/drop hook
   node().device().send(frame, config_.default_tx_dbm);
 }
 
@@ -69,6 +70,7 @@ void AedbApp::on_receive(const sim::Frame& frame, double rx_dbm) {
     const double delay_s =
         rng_.uniform(config_.params.min_delay_s, config_.params.max_delay_s);
     const MessageId message = frame.message_id;
+    collector_.open_data_work();  // closed by forward_decision
     simulator().schedule(sim::seconds_d(delay_s),
                          [this, message] { forward_decision(message); });
     return;
@@ -125,6 +127,7 @@ void AedbApp::forward_decision(MessageId message) {
   if (state.strongest_rx_dbm > config_.params.border_threshold_dbm) {
     ++counters_.drops_after_wait;
     collector_.record_drop_decision(node().id());
+    collector_.close_data_work();
     return;
   }
 
@@ -136,7 +139,11 @@ void AedbApp::forward_decision(MessageId message) {
   frame.origin = collector_.origin();
   frame.message_id = message;
   frame.size_bytes = config_.data_bytes;
+  // Open the frame's unit before closing the timer's, so the count never
+  // touches zero between the two.
+  collector_.open_data_work();
   node().device().send(frame, tx_dbm);
+  collector_.close_data_work();
 }
 
 }  // namespace aedbmls::aedb

@@ -5,6 +5,7 @@
 #include "common/assert.hpp"
 #include "common/units.hpp"
 #include "sim/core/simulator.hpp"
+#include "sim/net/wireless_channel.hpp"
 
 namespace aedbmls::aedb {
 
@@ -47,6 +48,22 @@ void BroadcastStatsCollector::record_drop_decision(NodeId node) {
 }
 
 void BroadcastStatsCollector::record_mac_drop(NodeId) { ++mac_drops_; }
+
+void BroadcastStatsCollector::close_data_work() {
+  AEDB_REQUIRE(outstanding_data_work_ > 0, "data work closed twice");
+  if (--outstanding_data_work_ != 0 || quiet_simulator_ == nullptr) return;
+  // Frames already on the air land by the channel's last signal end; a
+  // check that finds new work opened since (a newer generation) is void.
+  const std::uint64_t generation = ++quiet_generation_;
+  const sim::Time check_at =
+      std::max(quiet_simulator_->now(), quiet_channel_->last_signal_end()) +
+      sim::nanoseconds(1);
+  quiet_simulator_->schedule_at(check_at, [this, generation] {
+    if (generation == quiet_generation_ && outstanding_data_work_ == 0) {
+      quiet_simulator_->stop();
+    }
+  });
+}
 
 std::vector<std::pair<NodeId, sim::Time>>
 BroadcastStatsCollector::first_receptions() const {

@@ -24,6 +24,7 @@
 
 namespace aedbmls::sim {
 class Simulator;
+class WirelessChannel;
 }  // namespace aedbmls::sim
 
 namespace aedbmls::aedb {
@@ -37,7 +38,9 @@ struct BroadcastStats {
   double broadcast_time_s = 0.0; ///< dissemination latency
 
   // Diagnostics (not objectives):
-  std::uint64_t collisions = 0;      ///< SINR-failed receptions network-wide
+  /// SINR-failed receptions network-wide, beacons included, counted until
+  /// the run ends — at quiescence or at `end_at`, whichever comes first.
+  std::uint64_t collisions = 0;
   std::uint64_t mac_drops = 0;       ///< frames dropped by CCA exhaustion
   std::size_t drop_decisions = 0;    ///< nodes that chose not to forward
 
@@ -75,6 +78,10 @@ class BroadcastStatsCollector {
     mac_drops_ = 0;
     stop_simulator_ = nullptr;
     stop_bt_beyond_s_ = 0.0;
+    quiet_simulator_ = nullptr;
+    quiet_channel_ = nullptr;
+    outstanding_data_work_ = 0;
+    quiet_generation_ = 0;
   }
 
   /// Arms the infeasibility shortcut: a first reception later than
@@ -87,6 +94,26 @@ class BroadcastStatsCollector {
     stop_simulator_ = simulator;
     stop_bt_beyond_s_ = bt_beyond_s;
   }
+
+  /// Arms the quiescence stop: whenever the outstanding data work drops to
+  /// zero, one check is scheduled 1 ns after the later of now and
+  /// `channel`'s last signal end, and stops `simulator` if no data work
+  /// was opened meanwhile.  Past that point no data frame can be sent,
+  /// dropped or received, so no objective can change: the rest of the run
+  /// would only simulate beacons.  nullptr disarms (`reset()` also does).
+  void arm_quiescence_stop(sim::Simulator* simulator,
+                           const sim::WirelessChannel* channel) noexcept {
+    quiet_simulator_ = simulator;
+    quiet_channel_ = channel;
+  }
+
+  /// Opens one unit of outstanding data work: a data frame handed to a MAC
+  /// or a pending AEDB forward timer.
+  void open_data_work() noexcept { ++outstanding_data_work_; }
+
+  /// Closes one unit: the MAC sent or dropped the frame, or the timer
+  /// fired.  The last close schedules the quiescence check.
+  void close_data_work();
 
   /// Preallocates the first-reception ledger for `network_size` nodes so
   /// `begin()` never has to grow it on the hot path.
@@ -149,6 +176,11 @@ class BroadcastStatsCollector {
   std::uint64_t mac_drops_ = 0;
   sim::Simulator* stop_simulator_ = nullptr;  ///< armed infeasibility stop
   double stop_bt_beyond_s_ = 0.0;
+  sim::Simulator* quiet_simulator_ = nullptr;  ///< armed quiescence stop
+  const sim::WirelessChannel* quiet_channel_ = nullptr;
+  std::size_t outstanding_data_work_ = 0;
+  /// Bumped at every scheduled check; only the newest check may stop.
+  std::uint64_t quiet_generation_ = 0;
 };
 
 }  // namespace aedbmls::aedb

@@ -4,8 +4,14 @@
 /// once with a given AEDB configuration, collect the metrics.
 ///
 /// Timeline (paper §V): the topology "evolves" for 30 s (free here — mobility
-/// is closed-form), beacons start shortly before so neighbor tables are warm,
-/// the broadcast starts at t = 30 s, and the simulation ends at t = 40 s.
+/// is closed-form), beacons start at t = 27 s so neighbor tables are warm,
+/// the broadcast starts at t = 30 s, and the simulation ends at t = 40 s at
+/// the latest.  It ends earlier once the dissemination is over: no data
+/// frame is queued in a MAC, no AEDB forward timer is pending, and every
+/// signal on the air has landed (1 ns after the channel's last signal end).
+/// Every objective and the broadcast-time constraint are sealed by then; the
+/// paper's run would go on simulating beacons only.  A run still
+/// disseminating at `end_at` is cut there, exactly as before.
 
 #include <cstdint>
 #include <memory>
@@ -24,7 +30,7 @@ struct ScenarioConfig {
   sim::Time beacon_period = sim::seconds(1);  ///< Table II: beacons every 1 s
   sim::Time beacon_jitter = sim::milliseconds(10);  ///< per-beacon random jitter
   sim::Time broadcast_at = sim::seconds(30);  ///< dissemination start
-  sim::Time end_at = sim::seconds(40);        ///< simulation stop
+  sim::Time end_at = sim::seconds(40);        ///< latest simulation stop
   double default_tx_dbm = 16.02;      ///< Table II default transmission power
   std::uint32_t data_bytes = 256;     ///< broadcast payload size
   std::uint32_t beacon_bytes = 50;    ///< hello-beacon frame size
@@ -53,7 +59,9 @@ struct ScenarioConfig {
 /// Outcome of one scenario run.
 struct ScenarioResult {
   BroadcastStats stats;
-  std::uint64_t events_executed = 0;  ///< simulator throughput metric
+  /// Simulator events executed until the run ended — at quiescence or at
+  /// `end_at`, whichever comes first (the simulator's work metric).
+  std::uint64_t events_executed = 0;
 };
 
 class SimulationContext;

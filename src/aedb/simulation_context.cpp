@@ -69,19 +69,23 @@ void SimulationContext::configure_apps(const ScenarioConfig& config,
       beacons_.push_back(&beacons);
       apps_.push_back(&app);
 
-      // Energy/forwarding accounting happens at the MAC (actual airtime).
+      // Energy/forwarding accounting happens at the MAC (actual airtime),
+      // and so does closing each data frame's unit of outstanding work —
+      // the source's frame included, though it is no forwarding.
       // Installed once per graph: the lambdas capture only stable context
       // state, so the rebind hot path never reassigns a std::function.
       node.device().set_sent_callback(
           [this, id = node.id()](const sim::Frame& frame, double tx_dbm) {
             if (frame.kind == sim::FrameKind::kData) {
               collector_.record_data_tx(id, tx_dbm, data_duration_s_);
+              collector_.close_data_work();
             }
           });
       node.device().mac().set_drop_callback(
           [this, id = node.id()](const sim::Frame& frame) {
             if (frame.kind == sim::FrameKind::kData) {
               collector_.record_mac_drop(id);
+              collector_.close_data_work();
             }
           });
     }
@@ -138,6 +142,8 @@ ScenarioResult SimulationContext::run_impl(const ScenarioConfig& config,
   collector_.arm_infeasibility_stop(
       config.stop_when_bt_exceeds_s >= 0.0 ? &simulator_ : nullptr,
       config.stop_when_bt_exceeds_s);
+  // End the run once the dissemination is over; `end_at` stays the bound.
+  collector_.arm_quiescence_stop(&simulator_, &network_->channel());
 
   simulator_.run_until(config.end_at);
 

@@ -1,5 +1,7 @@
 #include "sim/net/wireless_channel.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "sim/net/wireless_phy.hpp"
 
@@ -48,6 +50,7 @@ void WirelessChannel::transmit(const WirelessPhy* sender, const Frame& frame,
       delay = seconds_d(meters / kSpeedOfLight);
     }
     ++signals_delivered_;
+    last_signal_end_ = std::max(last_signal_end_, now + delay + duration);
     WirelessPhy* receiver = entry.phy;
     simulator_.schedule(delay, [receiver, frame, rx_dbm, duration] {
       receiver->begin_rx(frame, rx_dbm, duration);

@@ -32,11 +32,12 @@ class WirelessChannel {
   void attach(WirelessPhy* phy, const MobilityModel* mobility);
 
   /// Rebinds the medium for a fresh run: new propagation model/delay flag,
-  /// delivery counter cleared.  Attached PHYs are kept.
+  /// delivery counter and last signal end cleared.  Attached PHYs are kept.
   void reset(const PropagationModel& propagation, bool model_propagation_delay) noexcept {
     propagation_ = &propagation;
     model_delay_ = model_propagation_delay;
     signals_delivered_ = 0;
+    last_signal_end_ = Time{};
   }
 
   /// Unregisters every PHY (entry storage retained); used when a pooled
@@ -53,6 +54,12 @@ class WirelessChannel {
     return signals_delivered_;
   }
 
+  /// The latest reception end scheduled so far (arrival + frame duration
+  /// over every delivered signal): once the clock is past it, every frame
+  /// put on the air has landed at every receiver.  Zero before the first
+  /// transmission.
+  [[nodiscard]] Time last_signal_end() const noexcept { return last_signal_end_; }
+
  private:
   struct Entry {
     WirelessPhy* phy;
@@ -64,6 +71,7 @@ class WirelessChannel {
   bool model_delay_;
   std::vector<Entry> entries_;
   std::uint64_t signals_delivered_ = 0;
+  Time last_signal_end_{};
 };
 
 }  // namespace aedbmls::sim

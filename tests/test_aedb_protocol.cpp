@@ -86,6 +86,8 @@ class AedbWorld {
   }
 
   sim::Simulator& simulator() { return simulator_; }
+  sim::WirelessChannel& channel() { return channel_; }
+  sim::Node& node(std::size_t i) { return *nodes_[i]; }
   AedbApp& app(std::size_t i) { return *apps_[i]; }
   BroadcastStatsCollector& collector() { return collector_; }
   std::size_t size() const { return nodes_.size(); }
@@ -283,6 +285,46 @@ TEST(AedbProtocol, VectorRoundTrip) {
   EXPECT_DOUBLE_EQ(back.border_threshold_dbm, -80.0);
   EXPECT_DOUBLE_EQ(back.neighbors_threshold, 20.0);
   EXPECT_EQ(AedbParams::names().size(), AedbParams::kDimensions);
+}
+
+TEST(AedbProtocol, OnlyTheNewestQuiescenceCheckStops) {
+  // Two pairs out of each other's range.  Data work drops to zero while
+  // the first pair's frame is on the air (check A is due at its end), is
+  // reopened, a second frame starts, and the work drops to zero again
+  // (check B is due at the second frame's end).  A finds no open work but
+  // a newer check pending: only B may stop the run.
+  AedbWorld world(fixed_delay_params());
+  world.add_node({0.0, 0.0});
+  world.add_node({30.0, 0.0});
+  world.add_node({5000.0, 0.0});
+  world.add_node({5030.0, 0.0});
+  sim::Simulator& simulator = world.simulator();
+  BroadcastStatsCollector& collector = world.collector();
+  collector.arm_quiescence_stop(&simulator, &world.channel());
+
+  Frame frame;
+  frame.kind = FrameKind::kBeacon;  // carries no AEDB state
+  frame.size_bytes = 256;           // 2.24 ms at 1 Mb/s
+  world.node(0).device().send(frame, 16.02);
+  sim::Time first_end{};
+  simulator.schedule_at(sim::milliseconds(1), [&] {
+    first_end = world.channel().last_signal_end();
+    collector.open_data_work();
+    collector.close_data_work();  // check A, due at first_end + 1 ns
+    collector.open_data_work();
+  });
+  simulator.schedule_at(sim::microseconds(1500), [&] {
+    world.node(2).device().send(frame, 16.02);
+  });
+  simulator.schedule_at(sim::milliseconds(2), [&] {
+    collector.close_data_work();  // check B, due after the second frame
+  });
+  simulator.run_until(sim::seconds(1));
+
+  EXPECT_TRUE(simulator.stopped());
+  EXPECT_GT(world.channel().last_signal_end(), first_end + sim::nanoseconds(1));
+  EXPECT_EQ(simulator.now(),
+            world.channel().last_signal_end() + sim::nanoseconds(1));
 }
 
 }  // namespace

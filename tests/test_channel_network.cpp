@@ -159,5 +159,31 @@ TEST(Network, BroadcastReachesNeighboursEndToEnd) {
   EXPECT_GT(network.channel().signals_delivered(), 0u);
 }
 
+TEST(Network, LastSignalEndIsTheLastReceptionEnd) {
+  Simulator simulator(1);
+  NetworkConfig config = small_config();
+  config.static_nodes = true;
+  Network network(simulator, config);
+  EXPECT_EQ(network.channel().last_signal_end(), Time{});
+  Time last_rx{};
+  for (std::size_t i = 1; i < network.size(); ++i) {
+    network.node(i).device().set_rx_callback(
+        [&](const Frame&, double) { last_rx = simulator.now(); });
+  }
+  Frame frame;
+  frame.kind = FrameKind::kData;
+  frame.size_bytes = 64;
+  network.node(0).device().send(frame, 16.02);
+  simulator.run();
+  // The last event of the run is the farthest receiver's signal end.
+  EXPECT_GT(last_rx, Time{});
+  EXPECT_LE(last_rx, network.channel().last_signal_end());
+  EXPECT_EQ(simulator.now(), network.channel().last_signal_end());
+
+  simulator.reset(1);
+  network.restart();
+  EXPECT_EQ(network.channel().last_signal_end(), Time{});
+}
+
 }  // namespace
 }  // namespace aedbmls::sim

@@ -207,6 +207,19 @@ TEST(Scenario, PinnedOutcomesAtTimelineEdges) {
   }
 }
 
+TEST(Scenario, HorizonPastQuiescenceIsFree) {
+  // Once the last data frame has landed and the last forward timer has
+  // fired, the run stops: a later horizon simulates not one event more.
+  ScenarioConfig config = make_paper_scenario(200, 7, 0);
+  const ScenarioResult at_40 = run_scenario(config, reasonable_params());
+  config.end_at = sim::seconds(80);
+  const ScenarioResult at_80 = run_scenario(config, reasonable_params());
+  EXPECT_EQ(pinned_fields(at_40.stats), pinned_fields(at_80.stats));
+  EXPECT_EQ(at_40.stats.network_size, at_80.stats.network_size);
+  EXPECT_EQ(at_40.stats.collisions, at_80.stats.collisions);
+  EXPECT_EQ(at_40.events_executed, at_80.events_executed);
+}
+
 TEST(Scenario, StillRunningAtEndAtIsCut) {
   // The "running-at-end" row above really is cut by the horizon: a later
   // end changes its outcome.
