@@ -28,9 +28,9 @@ void BroadcastStatsCollector::record_first_rx(NodeId node, sim::Time when) {
   received_[node] = 1;
   first_rx_time_[node] = when;
   ++coverage_;
-  if (stop_simulator_ != nullptr &&
+  if (stop_bt_beyond_s_ >= 0.0 &&
       (when - origination_).seconds() > stop_bt_beyond_s_) {
-    stop_simulator_->stop();
+    simulator_->stop();
   }
 }
 
@@ -51,16 +51,16 @@ void BroadcastStatsCollector::record_mac_drop(NodeId) { ++mac_drops_; }
 
 void BroadcastStatsCollector::close_data_work() {
   AEDB_REQUIRE(outstanding_data_work_ > 0, "data work closed twice");
-  if (--outstanding_data_work_ != 0 || quiet_simulator_ == nullptr) return;
+  if (--outstanding_data_work_ != 0 || simulator_ == nullptr) return;
   // Frames already on the air land by the channel's last signal end; a
   // check that finds new work opened since (a newer generation) is void.
   const std::uint64_t generation = ++quiet_generation_;
   const sim::Time check_at =
-      std::max(quiet_simulator_->now(), quiet_channel_->last_signal_end()) +
+      std::max(simulator_->now(), channel_->last_signal_end()) +
       sim::nanoseconds(1);
-  quiet_simulator_->schedule_at(check_at, [this, generation] {
+  simulator_->schedule_at(check_at, [this, generation] {
     if (generation == quiet_generation_ && outstanding_data_work_ == 0) {
-      quiet_simulator_->stop();
+      simulator_->stop();
     }
   });
 }

@@ -76,35 +76,30 @@ class BroadcastStatsCollector {
     energy_mj_ = 0.0;
     drop_decisions_ = 0;
     mac_drops_ = 0;
-    stop_simulator_ = nullptr;
-    stop_bt_beyond_s_ = 0.0;
-    quiet_simulator_ = nullptr;
-    quiet_channel_ = nullptr;
+    simulator_ = nullptr;
+    channel_ = nullptr;
+    stop_bt_beyond_s_ = -1.0;
     outstanding_data_work_ = 0;
     quiet_generation_ = 0;
   }
 
-  /// Arms the infeasibility shortcut: a first reception later than
-  /// `bt_beyond_s` after origination stops `simulator` — the caller's
-  /// rejection test is already decided at that point (see
-  /// `ScenarioConfig::stop_when_bt_exceeds_s`).  nullptr disarms (the
-  /// default state; `reset()` also disarms).
-  void arm_infeasibility_stop(sim::Simulator* simulator,
-                              double bt_beyond_s) noexcept {
-    stop_simulator_ = simulator;
+  /// Arms the run's early stops on `simulator` (`reset()` disarms both):
+  ///
+  ///  * quiescence, always: whenever the outstanding data work drops to
+  ///    zero, one check is scheduled 1 ns after the later of now and
+  ///    `channel`'s last signal end, and stops the run if no data work was
+  ///    opened meanwhile.  Past that point no data frame can be sent,
+  ///    dropped or received, so no objective can change: the rest of the
+  ///    run would only simulate beacons;
+  ///  * infeasibility, when `bt_beyond_s >= 0`: a first reception later
+  ///    than `bt_beyond_s` after origination stops the run — the caller's
+  ///    rejection test is already decided at that point (see
+  ///    `ScenarioConfig::stop_when_bt_exceeds_s`).
+  void arm_stops(sim::Simulator& simulator, const sim::WirelessChannel& channel,
+                 double bt_beyond_s) noexcept {
+    simulator_ = &simulator;
+    channel_ = &channel;
     stop_bt_beyond_s_ = bt_beyond_s;
-  }
-
-  /// Arms the quiescence stop: whenever the outstanding data work drops to
-  /// zero, one check is scheduled 1 ns after the later of now and
-  /// `channel`'s last signal end, and stops `simulator` if no data work
-  /// was opened meanwhile.  Past that point no data frame can be sent,
-  /// dropped or received, so no objective can change: the rest of the run
-  /// would only simulate beacons.  nullptr disarms (`reset()` also does).
-  void arm_quiescence_stop(sim::Simulator* simulator,
-                           const sim::WirelessChannel* channel) noexcept {
-    quiet_simulator_ = simulator;
-    quiet_channel_ = channel;
   }
 
   /// Opens one unit of outstanding data work: a data frame handed to a MAC
@@ -174,10 +169,9 @@ class BroadcastStatsCollector {
   double energy_mj_ = 0.0;
   std::size_t drop_decisions_ = 0;
   std::uint64_t mac_drops_ = 0;
-  sim::Simulator* stop_simulator_ = nullptr;  ///< armed infeasibility stop
-  double stop_bt_beyond_s_ = 0.0;
-  sim::Simulator* quiet_simulator_ = nullptr;  ///< armed quiescence stop
-  const sim::WirelessChannel* quiet_channel_ = nullptr;
+  sim::Simulator* simulator_ = nullptr;  ///< null until `arm_stops`
+  const sim::WirelessChannel* channel_ = nullptr;
+  double stop_bt_beyond_s_ = -1.0;  ///< < 0: no infeasibility stop
   std::size_t outstanding_data_work_ = 0;
   /// Bumped at every scheduled check; only the newest check may stop.
   std::uint64_t quiet_generation_ = 0;

@@ -139,11 +139,10 @@ ScenarioResult SimulationContext::run_impl(const ScenarioConfig& config,
     apps_[source_index]->originate(message);
   });
 
-  collector_.arm_infeasibility_stop(
-      config.stop_when_bt_exceeds_s >= 0.0 ? &simulator_ : nullptr,
-      config.stop_when_bt_exceeds_s);
-  // End the run once the dissemination is over; `end_at` stays the bound.
-  collector_.arm_quiescence_stop(&simulator_, &network_->channel());
+  // End the run once the dissemination is over (or, when screening, once
+  // it is proved too slow); `end_at` stays the bound.
+  collector_.arm_stops(simulator_, network_->channel(),
+                       config.stop_when_bt_exceeds_s);
 
   simulator_.run_until(config.end_at);
 

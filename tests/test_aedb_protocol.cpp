@@ -300,7 +300,7 @@ TEST(AedbProtocol, OnlyTheNewestQuiescenceCheckStops) {
   world.add_node({5030.0, 0.0});
   sim::Simulator& simulator = world.simulator();
   BroadcastStatsCollector& collector = world.collector();
-  collector.arm_quiescence_stop(&simulator, &world.channel());
+  collector.arm_stops(simulator, world.channel(), -1.0);
 
   Frame frame;
   frame.kind = FrameKind::kBeacon;  // carries no AEDB state
