@@ -12,6 +12,11 @@
 /// Every objective and the broadcast-time constraint are sealed by then; the
 /// paper's run would go on simulating beacons only.  A run still
 /// disseminating at `end_at` is cut there, exactly as before.
+///
+/// The prefix before `broadcast_at` is beacons only, the same for every
+/// candidate.  Fresh runs (no workspace) simulate it; pooled runs simulate
+/// it once per context and prefix, then restore the context's snapshot of
+/// it (see `SimulationContext`) — with byte-identical results.
 
 #include <cstdint>
 #include <memory>
@@ -60,8 +65,12 @@ struct ScenarioConfig {
 struct ScenarioResult {
   BroadcastStats stats;
   /// Simulator events executed until the run ended — at quiescence or at
-  /// `end_at`, whichever comes first (the simulator's work metric).
+  /// `end_at`, whichever comes first (the simulator's work metric).  A
+  /// restored prefix counts too: it is the same timeline.
   std::uint64_t events_executed = 0;
+  /// The part of `events_executed` restored from a prefix snapshot rather
+  /// than simulated; 0 when the run simulated its prefix.
+  std::uint64_t events_restored = 0;
 };
 
 class SimulationContext;
@@ -150,7 +159,7 @@ class ScenarioWorkspace {
                                           const AedbParams& params);
 
 /// As above, but served by one of `workspace`'s pooled `SimulationContext`s
-/// (reused object graph, recycled event arena).
+/// (reused object graph, recycled event arena, restored beacon prefix).
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config,
                                           const AedbParams& params,
                                           ScenarioWorkspace& workspace);

@@ -3,6 +3,20 @@
 #include "common/assert.hpp"
 
 namespace aedbmls::aedb {
+namespace {
+
+/// Whether two configs simulate the same pre-broadcast prefix: everything a
+/// run reads before `broadcast_at`.  `end_at`, `stop_when_bt_exceeds_s`,
+/// `data_bytes` and the AEDB parameters are only read from the broadcast on.
+bool same_prefix(const ScenarioConfig& a, const ScenarioConfig& b) noexcept {
+  return sim::equivalent(a.network, b.network) &&
+         a.beacon_start == b.beacon_start && a.beacon_period == b.beacon_period &&
+         a.beacon_jitter == b.beacon_jitter && a.beacon_bytes == b.beacon_bytes &&
+         a.default_tx_dbm == b.default_tx_dbm &&
+         a.broadcast_at == b.broadcast_at && a.random_source == b.random_source;
+}
+
+}  // namespace
 
 bool SimulationContext::bind_network(const sim::NetworkConfig& config,
                                      ScenarioWorkspace* workspace) {
@@ -28,7 +42,7 @@ bool SimulationContext::bind_network(const sim::NetworkConfig& config,
 
 void SimulationContext::configure_apps(const ScenarioConfig& config,
                                        const AedbParams& params,
-                                       bool reinstall) {
+                                       bool reinstall, bool restored) {
   const std::size_t n = network_->size();
   data_duration_s_ =
       network_->node(0).device().phy().frame_duration(config.data_bytes).seconds();
@@ -62,10 +76,6 @@ void SimulationContext::configure_apps(const ScenarioConfig& config,
           node.add_app<sim::BeaconApp>(beacon_config, app_stream.child(2 * i));
       auto& app = node.add_app<AedbApp>(aedb_config, beacons, collector_,
                                         app_stream.child(2 * i + 1));
-      // Size the per-node statistics once per topology: the flat
-      // NodeId-indexed neighbor table then never grows on the hot path,
-      // and every later reset is an allocation-free fill.
-      beacons.neighbor_table().reserve(n);
       beacons_.push_back(&beacons);
       apps_.push_back(&app);
 
@@ -93,12 +103,45 @@ void SimulationContext::configure_apps(const ScenarioConfig& config,
     // Re-arm the installed apps in the exact order the install path uses:
     // beacon reset + start (draws the phase, schedules the first beacon),
     // then the AEDB app — event sequence numbers and RNG draws match the
-    // fresh-construction path one for one.
+    // fresh-construction path one for one.  The AEDB app neither draws nor
+    // reads its parameters before the broadcast, so re-arming it after a
+    // restored prefix is the same as having re-armed it before.
     for (std::size_t i = 0; i < n; ++i) {
-      beacons_[i]->reset(beacon_config, app_stream.child(2 * i));
-      beacons_[i]->start();
+      if (!restored) {
+        beacons_[i]->reset(beacon_config, app_stream.child(2 * i));
+        beacons_[i]->start();
+      }
       apps_[i]->reset(aedb_config, app_stream.child(2 * i + 1));
     }
+  }
+}
+
+void SimulationContext::capture_prefix(const ScenarioConfig& config) {
+  const std::size_t n = network_->size();
+  PrefixSnapshot snapshot;
+  snapshot.simulator = simulator_.snapshot();
+  snapshot.channel = network_->channel().snapshot();
+  snapshot.phys.reserve(n);
+  snapshot.macs.reserve(n);
+  snapshot.beacons.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::NetDevice& device = network_->node(i).device();
+    snapshot.phys.push_back(device.phy().snapshot());
+    snapshot.macs.push_back(device.mac().snapshot());
+    snapshot.beacons.push_back(beacons_[i]->snapshot());
+  }
+  prefix_ = std::move(snapshot);
+  prefix_config_ = config;
+}
+
+void SimulationContext::restore_prefix() {
+  simulator_.restore(prefix_->simulator);
+  network_->channel().restore(prefix_->channel);
+  for (std::size_t i = 0; i < network_->size(); ++i) {
+    sim::NetDevice& device = network_->node(i).device();
+    device.phy().restore(prefix_->phys[i]);
+    device.mac().restore(prefix_->macs[i]);
+    beacons_[i]->restore(prefix_->beacons[i]);
   }
 }
 
@@ -124,26 +167,46 @@ ScenarioResult SimulationContext::run_impl(const ScenarioConfig& config,
   simulator_.reset(
       CounterRng(config.network.seed, {config.network.network_index}).key());
   const bool reinstall = bind_network(config.network, workspace);
-  configure_apps(config, params, reinstall);
+  // A rebuilt graph has new app objects, which a snapshot's pending
+  // callbacks do not point at — also when an unpooled run did the rebuild.
+  if (reinstall) prefix_.reset();
+  const bool pooled = workspace != nullptr;
+  const bool restored =
+      pooled && prefix_.has_value() && same_prefix(prefix_config_, config);
+  if (restored) {
+    restore_prefix();
+    ++stats_.restores;
+  }
+  configure_apps(config, params, reinstall, restored);
   const std::size_t n = network_->size();
 
-  // Source selection: fixed per (seed, network_index), so every candidate
-  // configuration is judged on identical dissemination instances.
-  const std::uint64_t source_index =
-      config.random_source ? network_->scenario_stream().bits(0x50BCE) % n : 0;
-  const MessageId message = 1;
-
-  simulator_.schedule_at(config.broadcast_at, [this, source_index, message] {
-    collector_.begin(message, static_cast<NodeId>(source_index),
-                     simulator_.now(), network_->size());
-    apps_[source_index]->originate(message);
-  });
+  if (!restored) {
+    // Source selection: fixed per (seed, network_index), so every candidate
+    // configuration is judged on identical dissemination instances.  A
+    // snapshot carries this event with its sequence number, so a time tie
+    // at `broadcast_at` breaks the same way on a restored run.
+    const std::uint64_t source_index =
+        config.random_source ? network_->scenario_stream().bits(0x50BCE) % n : 0;
+    const MessageId message = 1;
+    simulator_.schedule_at(config.broadcast_at, [this, source_index, message] {
+      collector_.begin(message, static_cast<NodeId>(source_index),
+                       simulator_.now(), network_->size());
+      apps_[source_index]->originate(message);
+    });
+  }
 
   // End the run once the dissemination is over (or, when screening, once
   // it is proved too slow); `end_at` stays the bound.
   collector_.arm_stops(simulator_, network_->channel(),
                        config.stop_when_bt_exceeds_s);
 
+  if (pooled && !restored) {
+    // The prefix: every event before the broadcast instant.  Nothing in it
+    // can stop the run (no data work exists yet).
+    simulator_.run_until(config.broadcast_at - sim::nanoseconds(1));
+    AEDB_REQUIRE(!simulator_.stopped(), "run stopped before the broadcast");
+    capture_prefix(config);
+  }
   simulator_.run_until(config.end_at);
 
   std::uint64_t collisions = 0;
@@ -154,6 +217,7 @@ ScenarioResult SimulationContext::run_impl(const ScenarioConfig& config,
   ScenarioResult result;
   result.stats = collector_.finalize(collisions);
   result.events_executed = simulator_.executed_events();
+  result.events_restored = restored ? prefix_->simulator.executed : 0;
   return result;
 }
 

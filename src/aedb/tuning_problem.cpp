@@ -98,6 +98,7 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
 
   Detail detail;
   std::uint64_t events = 0;
+  std::uint64_t restored = 0;
   std::size_t runs = 0;
   for (std::size_t net = 0; net < networks; ++net) {
     scenario.network.network_index = net;
@@ -114,6 +115,7 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
                              : run_scenario(scenario, params);
     ++runs;
     events += run.events_executed;
+    restored += run.events_restored;
     detail.mean_energy_dbm += run.stats.energy_dbm_sum;
     detail.mean_coverage += static_cast<double>(run.stats.coverage);
     detail.mean_forwardings += static_cast<double>(run.stats.forwardings);
@@ -124,6 +126,7 @@ AedbTuningProblem::Detail AedbTuningProblem::detail_at(
   tier_counts_[tier].scenario_runs.fetch_add(runs, std::memory_order_relaxed);
   tier_counts_[tier].events_executed.fetch_add(events,
                                                std::memory_order_relaxed);
+  events_restored_.fetch_add(restored, std::memory_order_relaxed);
   const double n = static_cast<double>(runs);
   detail.mean_energy_dbm /= n;
   detail.mean_coverage /= n;
@@ -207,6 +210,10 @@ std::uint64_t AedbTuningProblem::events_executed() const noexcept {
     total += t.events_executed.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+std::uint64_t AedbTuningProblem::events_restored() const noexcept {
+  return events_restored_.load(std::memory_order_relaxed);
 }
 
 AedbTuningProblem::TierCounters AedbTuningProblem::tier_counters(

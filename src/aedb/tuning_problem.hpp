@@ -128,6 +128,12 @@ class AedbTuningProblem final : public moo::Problem {
   /// (thread-safe) — the raw work metric behind eval-throughput telemetry.
   [[nodiscard]] std::uint64_t events_executed() const noexcept;
 
+  /// The part of `events_executed` restored from pooled contexts' prefix
+  /// snapshots instead of simulated (thread-safe).  Unlike the other
+  /// counters it depends on how warm each evaluating thread's workspace
+  /// was, hence on scheduling.
+  [[nodiscard]] std::uint64_t events_restored() const noexcept;
+
   /// Per-tier work counters (thread-safe).  `tier < fidelity_levels()`.
   struct TierCounters {
     std::uint64_t evaluations = 0;    ///< evaluations at this tier
@@ -169,6 +175,7 @@ class AedbTuningProblem final : public moo::Problem {
 
   Config config_;
   mutable std::vector<TierAtomics> tier_counts_;  ///< sized fidelity_levels()
+  mutable std::atomic<std::uint64_t> events_restored_{0};  ///< all tiers
 };
 
 }  // namespace aedbmls::aedb

@@ -97,6 +97,9 @@ class Xoshiro256 {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
+  /// Same state: both generators produce the same sequence from here on.
+  friend constexpr bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

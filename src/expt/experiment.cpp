@@ -58,6 +58,12 @@ RunRecord run_cell(const std::string& algorithm, const std::string& scenario,
   registry.counter("evaluations").add(result.evaluations);
   registry.counter("sim.runs").add(problem.scenario_runs());
   registry.counter("sim.events").add(problem.events_executed());
+  // How much of `sim.events` was restored from prefix snapshots rather
+  // than simulated.  A gauge, not a counter: it depends on how warm the
+  // evaluating threads' pooled contexts were, so it varies with
+  // scheduling and shard layout, like the wall gauges.
+  registry.gauge("sim.events_restored")
+      .observe(static_cast<double>(problem.events_restored()));
   // Per-fidelity-tier work split (tier 0 = "full").  Only tiers that did
   // work emit counters, so exact campaigns' snapshots gain nothing but the
   // renamed-from-totals full tier.

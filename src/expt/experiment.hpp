@@ -40,7 +40,9 @@ struct RunRecord {
   double wall_seconds = 0.0;
   /// Per-cell telemetry: counters (`cells`, `evaluations`, `sim.runs`,
   /// `sim.events`, `front.points`), wall-time gauges (`cell.wall_s`,
-  /// `scenario.<key>.wall_s`) and the `front.size` histogram.  Rides the
+  /// `scenario.<key>.wall_s`), the `sim.events_restored` gauge (the part of
+  /// `sim.events` restored from prefix snapshots) and the `front.size`
+  /// histogram.  Rides the
   /// journals' cell blocks and merges associatively campaign-wide.
   telemetry::Snapshot telemetry;
 };

@@ -23,6 +23,8 @@ class BeaconApp final : public Application {
     std::uint32_t beacon_bytes = 50;            ///< beacon frame size
     double tx_power_dbm = 16.02;                ///< beacons use default power
     Time neighbor_expiry = seconds_d(2.5);      ///< table entry lifetime
+
+    friend constexpr bool operator==(const Config&, const Config&) = default;
   };
 
   /// `stream` must be unique per node (derive from the network stream).
@@ -47,6 +49,29 @@ class BeaconApp final : public Application {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t beacons_sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t beacons_heard() const noexcept { return heard_; }
+
+  /// Everything `reset` sets, at one instant.  Restoring copies the
+  /// neighbor table into its retained storage (no allocation once the live
+  /// table has held as many entries).
+  struct Snapshot {
+    Config config;
+    Xoshiro256 rng;
+    NeighborTable table;
+    std::uint64_t sent = 0;
+    std::uint64_t heard = 0;
+
+    friend bool operator==(const Snapshot&, const Snapshot&) = default;
+  };
+  [[nodiscard]] Snapshot snapshot() const {
+    return Snapshot{config_, rng_, table_, sent_, heard_};
+  }
+  void restore(const Snapshot& snapshot) {
+    config_ = snapshot.config;
+    rng_ = snapshot.rng;
+    table_ = snapshot.table;
+    sent_ = snapshot.sent;
+    heard_ = snapshot.heard;
+  }
 
  private:
   void send_beacon();

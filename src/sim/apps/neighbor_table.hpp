@@ -9,12 +9,14 @@
 /// at P" is `P − path_loss(j)`, which is everything AEDB's forwarding-area
 /// and power-adaptation logic needs.
 ///
-/// Storage is a flat NodeId-indexed slot array (node ids are dense, starting
-/// at zero): lookups are O(1), the selection helpers walk the slots in
-/// NodeId order — deterministic by construction, independent of insertion
-/// history — and `reset()` is an O(capacity) fill that performs no heap
-/// allocation, so pooled simulation contexts reuse the table across runs
-/// for free.
+/// Storage is a vector of the occupied entries kept sorted by NodeId: a
+/// node hears a fifth of the network or less, so this is a fraction of a
+/// NodeId-indexed array's size — for the live table and for every copy a
+/// pooled context keeps of it.  Lookups are a binary search, the selection
+/// helpers walk the entries in NodeId order — deterministic by
+/// construction, independent of insertion history — and `reset()` keeps
+/// the capacity, so once a pooled context's tables have grown to their
+/// largest neighborhood they never allocate again.
 
 #include <cstdint>
 #include <optional>
@@ -32,6 +34,8 @@ class NeighborTable {
     double last_rx_dbm = 0.0;    ///< power of the most recent beacon
     double path_loss_db = 0.0;   ///< beacon tx power − rx power
     Time last_heard{};
+
+    friend constexpr bool operator==(const Entry&, const Entry&) = default;
   };
 
   /// `expiry`: entries older than this are dropped by purge().
@@ -39,18 +43,10 @@ class NeighborTable {
       : expiry_(expiry) {}
 
   /// Returns the table to its just-constructed state under a (possibly new)
-  /// expiry.  Slot storage is retained: a pooled context's per-run reset is
-  /// a fill, not a rebuild.
+  /// expiry.  Entry storage is retained.
   void reset(Time expiry) noexcept {
     expiry_ = expiry;
-    for (Entry& slot : slots_) slot = Entry{};
-    size_ = 0;
-  }
-
-  /// Preallocates slots for node ids [0, capacity).  Pooled contexts size
-  /// the table once per topology so steady-state updates never allocate.
-  void reserve(std::size_t capacity) {
-    if (capacity > slots_.size()) slots_.resize(capacity);
+    entries_.clear();
   }
 
   /// Records a beacon from `id` heard at `rx_dbm` (sent at `tx_dbm`).
@@ -63,10 +59,8 @@ class NeighborTable {
   /// Returns true if present.
   bool erase(NodeId id);
 
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool contains(NodeId id) const {
-    return id < slots_.size() && slots_[id].id != kInvalidNode;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool contains(NodeId id) const { return find(id).has_value(); }
   [[nodiscard]] std::optional<Entry> find(NodeId id) const;
 
   /// Neighbors in *my* forwarding area: those that would receive my
@@ -89,13 +83,16 @@ class NeighborTable {
   [[nodiscard]] std::optional<Entry> furthest(
       const std::vector<NodeId>& exclude = {}) const;
 
-  /// Snapshot of all entries, in NodeId order.
-  [[nodiscard]] std::vector<Entry> entries() const;
+  /// All entries, in NodeId order.
+  [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
+    return entries_;
+  }
+
+  friend bool operator==(const NeighborTable&, const NeighborTable&) = default;
 
  private:
   Time expiry_;
-  std::vector<Entry> slots_;  ///< NodeId-indexed; id == kInvalidNode is empty
-  std::size_t size_ = 0;      ///< occupied slots
+  std::vector<Entry> entries_;  ///< occupied entries, ascending NodeId
 };
 
 }  // namespace aedbmls::sim

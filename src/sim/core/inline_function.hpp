@@ -9,11 +9,14 @@
 /// destruction never touch the heap.  Callables that do not fit are
 /// rejected at compile time (`static_assert`) — check `fits_v<F>` to probe
 /// without an error.  Move-only callables are supported (an upgrade over
-/// `std::function`, which requires copyability).
+/// `std::function`, which requires copyability); a copyable callable can
+/// also be copied explicitly with `copy_from` (scheduler snapshots).
 
 #include <cstddef>
 #include <type_traits>
 #include <utility>
+
+#include "common/assert.hpp"
 
 namespace aedbmls::sim {
 
@@ -68,15 +71,45 @@ class InlineFunction {
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  /// True when empty or when the stored callable is copy-constructible.
+  [[nodiscard]] bool copyable() const noexcept {
+    return ops_ == nullptr || ops_->copy != nullptr;
+  }
+
+  /// Replaces the stored callable with a copy of `other`'s (empty copies
+  /// empty).  Requires `other.copyable()`.  Never touches the heap.
+  void copy_from(const InlineFunction& other) {
+    AEDB_REQUIRE(other.copyable(), "copying a move-only InlineFunction");
+    if (this == &other) return;
+    reset();
+    if (other.ops_ != nullptr) {
+      other.ops_->copy(storage_, other.storage_);
+      ops_ = other.ops_;
+    }
+  }
+
   /// Invokes the stored callable.  Requires non-empty.
   void operator()() { ops_->invoke(storage_); }
 
  private:
+  using CopyFn = void (*)(void* dst, const void* src);
   struct Ops {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src);  ///< move-construct dst, destroy src
     void (*destroy)(void*);
+    CopyFn copy;  ///< copy-construct dst from src; null for move-only callables
   };
+
+  template <typename Fn>
+  static constexpr CopyFn copy_op() noexcept {
+    if constexpr (std::is_copy_constructible_v<Fn>) {
+      return [](void* dst, const void* src) {
+        ::new (dst) Fn(*static_cast<const Fn*>(src));
+      };
+    } else {
+      return nullptr;
+    }
+  }
 
   template <typename Fn>
   static constexpr Ops kOps{
@@ -86,6 +119,7 @@ class InlineFunction {
         static_cast<Fn*>(src)->~Fn();
       },
       [](void* p) { static_cast<Fn*>(p)->~Fn(); },
+      copy_op<Fn>(),
   };
 
   void move_from(InlineFunction& other) noexcept {

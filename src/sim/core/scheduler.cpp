@@ -73,6 +73,57 @@ Scheduler::Entry Scheduler::pop() {
   return entry;
 }
 
+Scheduler::Snapshot Scheduler::snapshot() const {
+  Snapshot out;
+  out.pending.reserve(live_);
+  for (const HeapNode& node : heap_) {
+    const Slot& slot = slots_[node.slot];
+    if (slot.generation != node.generation) continue;  // cancelled
+    out.pending.push_back(Snapshot::Pending{node, {}});
+    out.pending.back().callback.copy_from(slot.callback);
+  }
+  if (out.pending.size() != heap_.size()) {
+    // Dropping cancelled nodes can break the heap property of the rest.
+    std::make_heap(out.pending.begin(), out.pending.end(),
+                   [](const Snapshot::Pending& a, const Snapshot::Pending& b) {
+                     return Later{}(a.node, b.node);
+                   });
+  }
+  out.free = free_;
+  out.arena_slots = slots_.size();
+  out.next_seq = next_seq_;
+  return out;
+}
+
+void Scheduler::restore(const Snapshot& snapshot) {
+  AEDB_REQUIRE(heap_.empty() && live_ == 0, "restore into a non-empty scheduler");
+  if (slots_.size() < snapshot.arena_slots) slots_.resize(snapshot.arena_slots);
+  for (const Snapshot::Pending& pending : snapshot.pending) {
+    Slot& slot = slots_[pending.node.slot];
+    slot.generation = pending.node.generation;
+    slot.callback.copy_from(pending.callback);
+    heap_.push_back(pending.node);
+  }
+  free_.assign(snapshot.free.begin(), snapshot.free.end());
+  for (std::size_t slot = snapshot.arena_slots; slot < slots_.size(); ++slot) {
+    free_.push_back(static_cast<std::uint32_t>(slot));
+  }
+  next_seq_ = snapshot.next_seq;
+  live_ = snapshot.pending.size();
+}
+
+bool operator==(const Scheduler::Snapshot& a,
+                const Scheduler::Snapshot& b) noexcept {
+  return a.free == b.free && a.arena_slots == b.arena_slots &&
+         a.next_seq == b.next_seq &&
+         std::equal(a.pending.begin(), a.pending.end(), b.pending.begin(),
+                    b.pending.end(),
+                    [](const Scheduler::Snapshot::Pending& x,
+                       const Scheduler::Snapshot::Pending& y) {
+                      return x.node == y.node;
+                    });
+}
+
 void Scheduler::clear() noexcept {
   for (const HeapNode& node : heap_) {
     Slot& slot = slots_[node.slot];

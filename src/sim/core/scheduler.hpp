@@ -12,6 +12,12 @@
 /// recycled slot is a guaranteed no-op because the generation no longer
 /// matches.  Steady state allocates nothing: slots, the free list and the
 /// heap all reuse their storage.
+///
+/// `snapshot()` copies the pending set (live heap nodes with their slots,
+/// generations and callbacks, plus the free list and counters) by value;
+/// `restore()` writes it back into the *same* scheduler's retained storage.
+/// Callbacks are copied, not re-created, so whatever they point at must
+/// still be the object they pointed at when the snapshot was taken.
 
 #include <cstdint>
 #include <vector>
@@ -61,15 +67,50 @@ class Scheduler {
   [[nodiscard]] std::size_t arena_slots() const noexcept { return slots_.size(); }
 
  private:
-  struct Slot {
-    std::uint32_t generation = 0;
-    Callback callback;
-  };
   struct HeapNode {
     Time when;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t generation;
+
+    friend constexpr bool operator==(const HeapNode&, const HeapNode&) = default;
+  };
+
+ public:
+  /// Value copy of the pending set.  Only live events are kept (a cancelled
+  /// node is dropped and the rest re-heaped), never the whole arena.
+  struct Snapshot {
+    struct Pending {
+      HeapNode node;
+      Callback callback;
+    };
+    std::vector<Pending> pending;      ///< in heap order
+    std::vector<std::uint32_t> free;   ///< free list at the snapshot
+    std::size_t arena_slots = 0;       ///< slots allocated at the snapshot
+    std::uint64_t next_seq = 1;
+
+    /// Equality of everything but the callbacks, which are type-erased: the
+    /// (time, seq) keys name the events, the slots and generations place
+    /// them.
+    friend bool operator==(const Snapshot& a, const Snapshot& b) noexcept;
+  };
+
+  /// Copies the pending set.  Requires every pending callback copyable
+  /// (`InlineFunction::copy_from` enforces it).
+  [[nodiscard]] Snapshot snapshot() const;
+
+  /// Replaces the (cleared) pending set with `snapshot`, taken from this
+  /// scheduler: live slots get their callbacks and generations back, slots
+  /// allocated since join the free list.  Allocates nothing once the arena
+  /// has held the snapshot's events.  Ids issued since the snapshot are
+  /// stale and must not be cancelled afterwards (a restored generation may
+  /// match them); ids of restored events are valid again.
+  void restore(const Snapshot& snapshot);
+
+ private:
+  struct Slot {
+    std::uint32_t generation = 0;
+    Callback callback;
   };
   /// Max-heap comparator under which the *earliest* node is the top.
   struct Later {

@@ -79,6 +79,28 @@ class Simulator {
   /// The root seed this simulator was constructed with.
   [[nodiscard]] std::uint64_t seed() const noexcept { return root_stream_.key(); }
 
+  /// Pending events, clock and counters at one instant (the RNG root is
+  /// not part of it: `reset` re-keys it).
+  struct Snapshot {
+    Scheduler::Snapshot scheduler;
+    Time now{};
+    std::uint64_t executed = 0;
+    bool stopped = false;
+
+    friend bool operator==(const Snapshot&, const Snapshot&) = default;
+  };
+  [[nodiscard]] Snapshot snapshot() const {
+    return Snapshot{scheduler_.snapshot(), now_, executed_, stopped_};
+  }
+  /// Puts this simulator back at `snapshot`'s instant.  Call `reset` first;
+  /// see `Scheduler::restore` for what the pending callbacks require.
+  void restore(const Snapshot& snapshot) {
+    scheduler_.restore(snapshot.scheduler);
+    now_ = snapshot.now;
+    executed_ = snapshot.executed;
+    stopped_ = snapshot.stopped;
+  }
+
  private:
   Scheduler scheduler_;
   Time now_{};

@@ -24,6 +24,25 @@ void CsmaBroadcastMac::reset(const Params& params, std::uint64_t rng_seed) {
   counters_ = Counters{};
 }
 
+CsmaBroadcastMac::Snapshot CsmaBroadcastMac::snapshot() const {
+  Snapshot out{rng_, {}, transmitting_, retry_scheduled_, counters_};
+  out.queue.reserve(queue_count_);
+  for (std::size_t i = 0; i < queue_count_; ++i) {
+    out.queue.push_back(queue_[(queue_head_ + i) & (queue_.size() - 1)]);
+  }
+  return out;
+}
+
+void CsmaBroadcastMac::restore(const Snapshot& snapshot) {
+  rng_ = snapshot.rng;
+  queue_head_ = 0;
+  queue_count_ = 0;
+  for (const Pending& pending : snapshot.queue) queue_push(pending);
+  transmitting_ = snapshot.transmitting;
+  retry_scheduled_ = snapshot.retry_scheduled;
+  counters_ = snapshot.counters;
+}
+
 void CsmaBroadcastMac::enqueue(Frame frame, double tx_power_dbm) {
   ++counters_.enqueued;
   const double clamped =

@@ -62,6 +62,8 @@ class CsmaBroadcastMac {
     std::uint64_t sent = 0;
     std::uint64_t dropped = 0;
     std::uint64_t cca_busy = 0;  ///< times the medium was found busy
+
+    friend constexpr bool operator==(const Counters&, const Counters&) = default;
   };
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
@@ -70,8 +72,28 @@ class CsmaBroadcastMac {
     Frame frame;
     double tx_power_dbm;
     std::uint32_t attempts = 0;
+
+    friend constexpr bool operator==(const Pending&, const Pending&) = default;
   };
 
+ public:
+  /// The MAC's run state (everything `reset` clears) at one instant; the
+  /// queue is kept oldest first.
+  struct Snapshot {
+    Xoshiro256 rng;
+    std::vector<Pending> queue;
+    bool transmitting = false;
+    bool retry_scheduled = false;
+    Counters counters;
+
+    friend bool operator==(const Snapshot&, const Snapshot&) = default;
+  };
+  [[nodiscard]] Snapshot snapshot() const;
+  /// Writes `snapshot` back into the ring's retained storage (allocates
+  /// only if the ring never held that many frames).
+  void restore(const Snapshot& snapshot);
+
+ private:
   void try_send();
   void tx_finished();
 

@@ -26,6 +26,8 @@ struct Frame {
   std::uint32_t size_bytes = 0;    ///< payload + headers, in bytes
   double tx_power_dbm = 0.0;       ///< power this frame was sent with
   std::uint64_t sequence = 0;      ///< per-device transmit sequence number
+
+  friend constexpr bool operator==(const Frame&, const Frame&) = default;
 };
 
 }  // namespace aedbmls::sim

@@ -60,6 +60,21 @@ class WirelessChannel {
   /// transmission.
   [[nodiscard]] Time last_signal_end() const noexcept { return last_signal_end_; }
 
+  /// The medium's run state (what `reset` clears besides the model).
+  struct Snapshot {
+    std::uint64_t signals_delivered = 0;
+    Time last_signal_end{};
+
+    friend constexpr bool operator==(const Snapshot&, const Snapshot&) = default;
+  };
+  [[nodiscard]] Snapshot snapshot() const noexcept {
+    return Snapshot{signals_delivered_, last_signal_end_};
+  }
+  void restore(const Snapshot& snapshot) noexcept {
+    signals_delivered_ = snapshot.signals_delivered;
+    last_signal_end_ = snapshot.last_signal_end;
+  }
+
  private:
   struct Entry {
     WirelessPhy* phy;

@@ -98,6 +98,8 @@ class WirelessPhy {
     std::uint64_t rx_aborted_by_tx = 0; ///< receptions cut by our own tx
     std::uint64_t rx_missed_busy = 0;   ///< decodable frames while not idle
     std::uint64_t rx_below_sensitivity = 0;  ///< signals too weak to decode
+
+    friend constexpr bool operator==(const Counters&, const Counters&) = default;
   };
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
@@ -108,7 +110,36 @@ class WirelessPhy {
     double signal_mw = 0.0;
     double peak_interference_mw = 0.0;
     std::uint64_t token = 0;  ///< matches signal-end events to the lock
+
+    friend constexpr bool operator==(const Lock&, const Lock&) = default;
   };
+
+ public:
+  /// The radio's run state (everything `reset` clears) at one instant.
+  struct Snapshot {
+    State state = State::kIdle;
+    double total_rx_mw = 0.0;
+    std::optional<Lock> lock;
+    std::uint64_t next_token = 1;
+    std::uint64_t tx_sequence = 0;
+    Counters counters;
+
+    friend bool operator==(const Snapshot&, const Snapshot&) = default;
+  };
+  [[nodiscard]] Snapshot snapshot() const noexcept {
+    return Snapshot{state_, total_rx_mw_, lock_, next_token_, tx_sequence_,
+                    counters_};
+  }
+  void restore(const Snapshot& snapshot) noexcept {
+    state_ = snapshot.state;
+    total_rx_mw_ = snapshot.total_rx_mw;
+    lock_ = snapshot.lock;
+    next_token_ = snapshot.next_token;
+    tx_sequence_ = snapshot.tx_sequence;
+    counters_ = snapshot.counters;
+  }
+
+ private:
 
   void signal_ended(double power_mw, std::uint64_t token);
   void finish_tx();

@@ -125,6 +125,14 @@ TEST(ExperimentDriver, TelemetryAggregationIsWorkerCountInvariant) {
   EXPECT_GT(serial.telemetry.counters.at("evaluations"), 0u);
   EXPECT_GT(serial.telemetry.counters.at("sim.runs"), 0u);
   EXPECT_GT(serial.telemetry.counters.at("sim.events"), 0u);
+  // Every cell reports how much of its `sim.events` was restored from
+  // beacon-prefix snapshots: some of it, never all of it.
+  const telemetry::GaugeStat& restored =
+      serial.telemetry.gauges.at("sim.events_restored");
+  EXPECT_EQ(restored.count, plan.cell_count());
+  EXPECT_GT(restored.sum, 0.0);
+  EXPECT_LT(restored.sum,
+            static_cast<double>(serial.telemetry.counters.at("sim.events")));
   EXPECT_EQ(serial.telemetry.histograms.at("front.size").count,
             plan.cell_count());
   for (const std::size_t workers : {4u, 12u}) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace aedbmls::sim {
 namespace {
 
@@ -94,6 +96,28 @@ TEST(NeighborTable, EntriesSnapshot) {
   table.update(1, -90.0, kDefaultTx, seconds(1));
   table.update(2, -80.0, kDefaultTx, seconds(1));
   EXPECT_EQ(table.entries().size(), 2u);
+}
+
+TEST(NeighborTable, NodeIdOrderIsIndependentOfInsertionOrder) {
+  // Ties resolve to the lowest NodeId whatever order the beacons came in,
+  // and erasing or purging keeps the remaining entries in NodeId order.
+  NeighborTable table(seconds(2));
+  table.update(9, -90.0, kDefaultTx, seconds(3));
+  table.update(4, -90.0, kDefaultTx, seconds(3));
+  table.update(7, -95.0, kDefaultTx, seconds(1));
+  table.update(2, -80.0, kDefaultTx, seconds(3));
+  table.update(4, -90.0, kDefaultTx, seconds(3));  // refresh, no duplicate
+  EXPECT_EQ(table.furthest()->id, 7u);
+  EXPECT_EQ(table.furthest({7})->id, 4u);  // 4 and 9 tie
+  EXPECT_EQ(table.closest_to_border(-85.0, kDefaultTx)->id, 4u);
+  EXPECT_TRUE(table.erase(4));
+  table.purge(seconds(4));  // drops 7, heard 3 s ago
+  std::vector<NodeId> ids;
+  for (const NeighborTable::Entry& entry : table.entries()) ids.push_back(entry.id);
+  EXPECT_EQ(ids, (std::vector<NodeId>{2, 9}));
+  table.reset(seconds(2));
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.contains(2));
 }
 
 }  // namespace

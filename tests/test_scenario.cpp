@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "aedb/simulation_context.hpp"
 #include "common/line_codec.hpp"
 
 namespace aedbmls::aedb {
@@ -204,6 +205,33 @@ TEST(Scenario, PinnedOutcomesAtTimelineEdges) {
   for (const PinnedRun& run : pinned_runs()) {
     const ScenarioResult result = run_scenario(run.config, run.params);
     EXPECT_EQ(pinned_fields(result.stats), run.expected) << run.name;
+  }
+}
+
+TEST(Scenario, PinnedOutcomesAtTimelineEdgesRestored) {
+  // The same table through one workspace, twice: the first pass simulates
+  // and snapshots each context's beacon prefix, the second restores it —
+  // late beacons (nothing before the broadcast but pending first beacons),
+  // a silent source, no propagation delay, MAC drops and a screened stop
+  // included.
+  const std::vector<PinnedRun> runs = pinned_runs();
+  ScenarioWorkspace workspace;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const PinnedRun& run : runs) {
+      const ScenarioResult result =
+          run_scenario(run.config, run.params, workspace);
+      EXPECT_EQ(pinned_fields(result.stats), run.expected)
+          << run.name << " pass " << pass;
+      const SimulationContext& context =
+          workspace.context_for(run.config.network);
+      EXPECT_EQ(result.events_restored,
+                pass == 0 ? 0 : context.prefix_snapshot()->simulator.executed)
+          << run.name;
+    }
+  }
+  for (const PinnedRun& run : runs) {
+    EXPECT_EQ(workspace.context_for(run.config.network).stats().restores, 1u)
+        << run.name;
   }
 }
 

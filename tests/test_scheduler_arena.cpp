@@ -2,7 +2,8 @@
 /// slots must make stale `EventId`s harmless, cancelled callbacks must be
 /// destroyed eagerly (no leaked captures), oversized callbacks must be
 /// rejected at compile time, and slot storage must be recycled instead of
-/// growing without bound.
+/// growing without bound.  Snapshots copy the pending set by value and
+/// restore it into the same scheduler.
 
 #include <gtest/gtest.h>
 
@@ -151,6 +152,69 @@ TEST(SchedulerArena, EmptyAndSizeTrackLiveEventsOnly) {
   EXPECT_EQ(scheduler.next_time(), seconds(3));
   scheduler.pop().callback();
   EXPECT_TRUE(scheduler.empty());
+}
+
+TEST(SchedulerArena, RestoredSnapshotReplaysThePendingSet) {
+  Scheduler scheduler;
+  std::vector<int> order;
+  scheduler.insert(seconds(3), [&order] { order.push_back(3); });
+  const EventId cancelled =
+      scheduler.insert(seconds(1), [&order] { order.push_back(-1); });
+  scheduler.insert(seconds(2), [&order] { order.push_back(2); });
+  scheduler.insert(seconds(2), [&order] { order.push_back(22); });  // tie
+  scheduler.cancel(cancelled);
+  const Scheduler::Snapshot snapshot = scheduler.snapshot();
+  EXPECT_EQ(snapshot.pending.size(), 3u);  // the cancelled node is dropped
+
+  for (int round = 0; round < 2; ++round) {
+    // Run past the snapshot (new events, recycled slots), then go back.
+    scheduler.pop().callback();
+    scheduler.insert(seconds(9), [&order] { order.push_back(9); });
+    scheduler.insert(seconds(1), [&order] { order.push_back(1); });
+    scheduler.clear();
+    order.clear();
+    scheduler.restore(snapshot);
+    EXPECT_EQ(scheduler.size(), 3u);
+    EXPECT_TRUE(scheduler.snapshot() == snapshot);
+    while (!scheduler.empty()) scheduler.pop().callback();
+    EXPECT_EQ(order, (std::vector<int>{2, 22, 3})) << "round " << round;
+    // The restored sequence counter keeps later ties after restored ones.
+    scheduler.restore(snapshot);
+    scheduler.insert(seconds(2), [&order] { order.push_back(23); });
+    order.clear();
+    while (!scheduler.empty()) scheduler.pop().callback();
+    EXPECT_EQ(order, (std::vector<int>{2, 22, 23, 3}));
+    scheduler.restore(snapshot);
+  }
+}
+
+TEST(SchedulerArena, RestoreReusesArenaStorage) {
+  Scheduler scheduler;
+  for (int i = 0; i < 16; ++i) scheduler.insert(seconds(i), [] {});
+  const Scheduler::Snapshot snapshot = scheduler.snapshot();
+  const std::size_t slots = scheduler.arena_slots();
+  for (int round = 0; round < 4; ++round) {
+    while (!scheduler.empty()) scheduler.pop().callback();
+    scheduler.clear();
+    scheduler.restore(snapshot);
+    EXPECT_EQ(scheduler.arena_slots(), slots);
+    EXPECT_EQ(scheduler.size(), 16u);
+  }
+}
+
+TEST(SchedulerArena, OnlyCopyableCallbacksCopy) {
+  int hits = 0;
+  InlineFunction copyable([&hits] { ++hits; });
+  InlineFunction move_only([p = std::make_unique<int>(1)] { (void)p; });
+  EXPECT_TRUE(copyable.copyable());
+  EXPECT_FALSE(move_only.copyable());
+  EXPECT_TRUE(InlineFunction{}.copyable());
+
+  InlineFunction copy;
+  copy.copy_from(copyable);
+  copy();
+  copyable();
+  EXPECT_EQ(hits, 2);  // both run; the copy did not steal the original
 }
 
 }  // namespace
